@@ -71,7 +71,8 @@ func sweep(t testing.TB, ctx context.Context, dir string, grid []gpuwalk.Config)
 
 // TestBenchCacheColdWarm measures the result cache's payoff — the wall
 // time of a mini Figure 13 sweep cold (every point simulated) versus
-// warm (every point served from disk) — and records it in
+// warm (every point served from disk) — and logs it; with
+// BENCH_CACHE_OUT set it also writes it there, in the shape of
 // BENCH_cache.json, the repo's perf-trajectory file for the cache.
 func TestBenchCacheColdWarm(t *testing.T) {
 	if testing.Short() {
@@ -109,12 +110,13 @@ func TestBenchCacheColdWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// BENCH_CACHE_OUT redirects the measurement file, so CI can write a
-	// fresh one next to the committed BENCH_cache.json and diff the two
-	// with cmd/benchdiff instead of overwriting the baseline.
+	// The measurement is written only when BENCH_CACHE_OUT names a file,
+	// so CI can diff a fresh one against the committed BENCH_cache.json
+	// with cmd/benchdiff; a plain `go test` leaves the tree untouched.
 	outPath := os.Getenv("BENCH_CACHE_OUT")
 	if outPath == "" {
-		outPath = "BENCH_cache.json"
+		t.Logf("%s", out)
+		return
 	}
 	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -46,8 +47,13 @@ func (f *fakeRunner) run(ctx context.Context, spec json.RawMessage) (json.RawMes
 func startServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	rn := &fakeRunner{seen: map[string]bool{}}
+	return startServerWith(t, rn.run)
+}
+
+func startServerWith(t *testing.T, runner jobd.Runner) *httptest.Server {
+	t.Helper()
 	s, err := jobd.NewServer(jobd.Options{
-		Runner:           rn.run,
+		Runner:           runner,
 		Workers:          4,
 		QueueSize:        -1,
 		Logger:           slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -121,6 +127,25 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if steps, ok := m["qps_steps"].([]any); !ok || len(steps) != 2 {
 		t.Errorf("qps_steps missing or wrong length: %v", m["qps_steps"])
+	}
+}
+
+// TestRunManyLargeResults: a run whose retained jobs' results add up
+// to more than the client's 16 MiB response cap still drains and
+// tallies every job, because the job list is paged summaries.
+func TestRunManyLargeResults(t *testing.T) {
+	result := json.RawMessage(`{"pad":"` + strings.Repeat("x", 14<<10) + `"}`)
+	ts := startServerWith(t, func(ctx context.Context, spec json.RawMessage) (json.RawMessage, bool, error) {
+		return result, false, nil
+	})
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-addr", ts.URL, "-qps", "2000", "-ops", "1300", "-keys", "50",
+		"-skews", "", "-sse-every", "0", "-out", ""}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("run exited %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+	if want := "jobs: 1300 done, 0 failed, 0 cancelled, 0 evicted"; !strings.Contains(stdout.String(), want) {
+		t.Fatalf("stdout lacks %q:\n%s", want, stdout.String())
 	}
 }
 

@@ -5,18 +5,22 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gpuwalk/internal/capread"
+	"gpuwalk/internal/jobd"
 	"gpuwalk/internal/obs"
 )
 
@@ -188,7 +192,7 @@ func (g *Gateway) routeCount() int {
 // — plus the /v1/cluster status endpoint:
 //
 //	POST /v1/jobs              route to the key's owner
-//	GET  /v1/jobs              merged list across healthy nodes
+//	GET  /v1/jobs              one page of job summaries, node after node
 //	GET  /v1/jobs/{id}         proxy to the accepting node
 //	GET  /v1/jobs/{id}/trace   merged gateway + backend span timeline
 //	GET  /v1/jobs/{id}/events  streamed SSE proxy (Last-Event-ID passes through)
@@ -208,13 +212,14 @@ func (g *Gateway) Handler() http.Handler {
 	return g.withTelemetry(mux)
 }
 
-// withTelemetry assigns (or adopts) the request ID and counts requests
-// by route pattern and status. An inbound X-Request-Id is honored so
-// one ID threads client → gateway → backend logs; the backend echoes
-// it for the same reason. When the request carries a traceparent but
-// no request ID, the ID derives from the trace ID — the same
-// derivation the backend uses, so every hop of a traced request logs
-// under one request ID with zero coordination.
+// withTelemetry assigns (or adopts) the request ID, counts requests
+// by route pattern and status, and records response sizes by route.
+// An inbound X-Request-Id is honored so one ID threads client →
+// gateway → backend logs; the backend echoes it for the same reason.
+// When the request carries a traceparent but no request ID, the ID
+// derives from the trace ID — the same derivation the backend uses, so
+// every hop of a traced request logs under one request ID with zero
+// coordination.
 func (g *Gateway) withTelemetry(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		remote, tpErr := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
@@ -240,8 +245,9 @@ func (g *Gateway) withTelemetry(mux *http.ServeMux) http.Handler {
 			code = http.StatusOK
 		}
 		g.metrics.httpReqs.With(route, strconv.Itoa(code)).Inc()
+		g.metrics.httpBytes.With(route).Observe(float64(rec.bytes))
 		logArgs := []any{"request_id", reqID, "route", route,
-			"path", r.URL.Path, "code", code,
+			"path", r.URL.Path, "code", code, "bytes", rec.bytes,
 			"duration_ms", float64(time.Since(start).Microseconds()) / 1000}
 		if tpErr == nil {
 			logArgs = append(logArgs, "trace_id", remote.Trace.String(), "span_id", remote.Span.String())
@@ -489,7 +495,7 @@ func (g *Gateway) exchange(r *http.Request, node, method, path string, body []by
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	b, err := capread.ReadAll(resp.Body, 64<<20)
 	if err != nil {
 		g.metrics.proxyErrors.With(NodeName(node)).Inc()
 		return nil, nil, err
@@ -526,34 +532,81 @@ func (g *Gateway) proxyFailure(w http.ResponseWriter, node string, err error) {
 	gwError(w, http.StatusBadGateway, fmt.Sprintf("cluster: backend unreachable: %v", err))
 }
 
-// handleList scatter-gathers GET /v1/jobs across the healthy members
-// and merges the job arrays in node order. Nodes that cannot be
+// gatewayPage is a GET /v1/jobs page as the gateway reads it from a
+// node and serves it: summaries left encoded, so they relay byte for
+// byte, plus the nodes the page had to skip.
+type gatewayPage struct {
+	Jobs        []json.RawMessage `json:"jobs"`
+	Next        string            `json:"next,omitempty"`
+	Unreachable []string          `json:"unreachable,omitempty"`
+}
+
+// handleList serves GET /v1/jobs across the cluster in a single node's
+// page shape (jobd.ParseListQuery: ?limit=, ?after=, ?state=). It
+// walks the healthy members in ring order, each node's pages in turn,
+// until the page holds ?limit= summaries. The cursor names the node to
+// resume on and that node's own cursor; if the node has left the ring
+// since, the walk resumes at the member after it. Nodes that cannot be
 // reached are reported in the `unreachable` field rather than silently
-// shortening the list.
+// shortening the page.
 func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
+	q, err := jobd.ParseListQuery(r.URL.Query())
+	if err != nil {
+		gwError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	node, after, err := decodeListCursor(q.After)
+	if err != nil {
+		gwError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	members := g.m.Ring().Members()
-	merged := make([]json.RawMessage, 0, 64)
-	var unreachable []string
-	for _, node := range members {
-		resp, body, err := g.exchange(r, node, http.MethodGet, "/v1/jobs", nil)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			unreachable = append(unreachable, NodeName(node))
+	i := sort.SearchStrings(members, node)
+	if i == len(members) || members[i] != node {
+		after = ""
+	}
+	out := gatewayPage{Jobs: make([]json.RawMessage, 0, q.Limit)}
+	for ; i < len(members); i++ {
+		nq := jobd.ListQuery{Limit: q.Limit - len(out.Jobs), After: after, States: q.States}
+		after = ""
+		resp, body, err := g.exchange(r, members[i], http.MethodGet, "/v1/jobs?"+nq.Values().Encode(), nil)
+		var page gatewayPage
+		if err != nil || resp.StatusCode != http.StatusOK || json.Unmarshal(body, &page) != nil {
+			out.Unreachable = append(out.Unreachable, NodeName(members[i]))
 			continue
 		}
-		var out struct {
-			Jobs []json.RawMessage `json:"jobs"`
+		out.Jobs = append(out.Jobs, page.Jobs...)
+		if page.Next != "" {
+			out.Next = encodeListCursor(members[i], page.Next)
+			break
 		}
-		if json.Unmarshal(body, &out) != nil {
-			unreachable = append(unreachable, NodeName(node))
-			continue
+		if len(out.Jobs) == q.Limit {
+			if i+1 < len(members) {
+				out.Next = encodeListCursor(members[i+1], "")
+			}
+			break
 		}
-		merged = append(merged, out.Jobs...)
 	}
-	payload := map[string]any{"jobs": merged}
-	if len(unreachable) > 0 {
-		payload["unreachable"] = unreachable
+	writeGwJSON(w, http.StatusOK, out)
+}
+
+// encodeListCursor packs the node to resume on and its own cursor into
+// one opaque gateway cursor.
+func encodeListCursor(node, after string) string {
+	return base64.RawURLEncoding.EncodeToString([]byte(node + "\n" + after))
+}
+
+// decodeListCursor undoes encodeListCursor; "" is the first page.
+func decodeListCursor(c string) (node, after string, err error) {
+	if c == "" {
+		return "", "", nil
 	}
-	writeGwJSON(w, http.StatusOK, payload)
+	b, err := base64.RawURLEncoding.DecodeString(c)
+	node, after, ok := strings.Cut(string(b), "\n")
+	if err != nil || !ok {
+		return "", "", fmt.Errorf("cluster: bad list cursor %q", c)
+	}
+	return node, after, nil
 }
 
 // handleEvents proxies a job's SSE stream from the owning node,
@@ -774,7 +827,7 @@ func (g *Gateway) scrapeOne(peer string) (*obs.PromText, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("metrics returned %s", resp.Status)
 	}
-	return obs.ParsePromText(io.LimitReader(resp.Body, 8<<20))
+	return obs.ParsePromText(capread.Reader(resp.Body, 8<<20))
 }
 
 // gatewayMetrics are the gateway's own families, served before the
@@ -783,6 +836,7 @@ type gatewayMetrics struct {
 	fams *obs.FamilySet
 
 	httpReqs     *obs.Family // gateway_http_requests_total{route,code}
+	httpBytes    *obs.Family // gateway_http_response_bytes{route}
 	proxied      *obs.Family // gateway_proxied_total{node}
 	proxyErrors  *obs.Family // gateway_proxy_errors_total{node}
 	routedJobs   *obs.Family // gateway_routed_jobs_total{node}
@@ -819,7 +873,9 @@ func newGatewayMetrics(g *Gateway, start time.Time) *gatewayMetrics {
 	m := &gatewayMetrics{
 		fams:     fs,
 		httpReqs: fs.NewCounter("gateway_http_requests_total", "HTTP requests served by the gateway.", "route", "code"),
-		proxied:  fs.NewCounter("gateway_proxied_total", "Requests proxied to a backend node.", "node"),
+		httpBytes: fs.NewHistogram("gateway_http_response_bytes",
+			"HTTP response body bytes by route.", obs.ByteBuckets, "route"),
+		proxied: fs.NewCounter("gateway_proxied_total", "Requests proxied to a backend node.", "node"),
 		proxyErrors: fs.NewCounter("gateway_proxy_errors_total",
 			"Proxied exchanges that failed at the transport (backend unreachable or mid-body).", "node"),
 		routedJobs: fs.NewCounter("gateway_routed_jobs_total",
@@ -869,11 +925,13 @@ func shortKey(key string) string {
 	return key
 }
 
-// statusRecorder captures the response code for the request counter,
-// passing Flush through so SSE streaming works behind it.
+// statusRecorder captures the response code for the request counter
+// and the body size for the response-size histogram, passing Flush
+// through so SSE streaming works behind it.
 type statusRecorder struct {
 	http.ResponseWriter
-	code int
+	code  int
+	bytes int
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -887,7 +945,9 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	if r.code == 0 {
 		r.code = http.StatusOK
 	}
-	return r.ResponseWriter.Write(b)
+	n, err := r.ResponseWriter.Write(b)
+	r.bytes += n
+	return n, err
 }
 
 func (r *statusRecorder) Flush() {
@@ -912,7 +972,7 @@ func gwError(w http.ResponseWriter, code int, msg string) {
 
 // decodeJSONBody decodes a bounded JSON response body.
 func decodeJSONBody(r io.Reader, out any) error {
-	b, err := io.ReadAll(io.LimitReader(r, 8<<20))
+	b, err := capread.ReadAll(r, 8<<20)
 	if err != nil {
 		return err
 	}

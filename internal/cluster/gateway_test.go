@@ -608,3 +608,51 @@ func TestGatewayFallbackKeyRouting(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayRollupScrapeOverCap: a backend /metrics past the 8 MiB
+// scrape cap is a counted rollup error, never a rollup of the samples
+// that happened to fit. The document is cut exactly at a line end at
+// the cap, so a silently truncating reader would parse its first part
+// as valid exposition.
+func TestGatewayRollupScrapeOverCap(t *testing.T) {
+	const limit = 8 << 20
+	var doc strings.Builder
+	doc.WriteString("# TYPE big_total counter\n")
+	line := func(i int) string { return fmt.Sprintf("big_total{i=\"%07d\"} 1\n", i) }
+	n := (limit - doc.Len() - 64) / len(line(0))
+	pad := limit - doc.Len() - n*len(line(0))
+	doc.WriteString("#" + strings.Repeat(" ", pad-2) + "\n")
+	for i := 0; i < n+100; i++ {
+		doc.WriteString(line(i))
+	}
+	big := func(_ *fakeNode, mux *http.ServeMux) {
+		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", obs.ContentTypeProm)
+			io.WriteString(w, doc.String())
+		})
+	}
+	node := newFakeNode(t, "a", big)
+	_, _, srv := newTestGateway(t, node)
+	scrape := func() *obs.PromText {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		prom, err := obs.ParsePromText(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prom
+	}
+
+	name := NodeName(node.srv.URL)
+	if _, ok := scrape().Sample(fmt.Sprintf("big_total{i=\"0000000\",node=%q}", name)); ok {
+		t.Error("rollup carries samples from a truncated scrape")
+	}
+	// The gateway writes its own families before it scrapes, so the
+	// first scrape's error shows on the second.
+	if v, ok := scrape().Sample(fmt.Sprintf("gateway_rollup_errors_total{node=%q}", name)); !ok || v != 1 {
+		t.Errorf("rollup errors for %s = %v (present=%v), want 1", name, v, ok)
+	}
+}

@@ -2,13 +2,13 @@ package cluster
 
 import (
 	"context"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
 	"sync/atomic"
 	"time"
 
+	"gpuwalk/internal/capread"
 	"gpuwalk/internal/obs"
 )
 
@@ -90,7 +90,7 @@ func (p *Peering) Fetch(key string) ([]byte, bool) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, false // peer miss: simulate locally
 	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	b, err := capread.ReadAll(resp.Body, 256<<20)
 	if err != nil {
 		p.errors.Add(1)
 		p.log.Debug("peer fetch body failed", "peer", NodeName(owner), "error", err.Error())

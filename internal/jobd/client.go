@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"gpuwalk/internal/capread"
 	"gpuwalk/internal/obs"
 )
 
@@ -129,6 +130,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 var defaultHTTPClient = &http.Client{}
 
+// maxResponseBytes caps one API response body. A job list page is far
+// smaller by construction (see ListMaxLimit); the cap binds only on a
+// single job with a huge sweep, and then it is an explicit error.
+const maxResponseBytes = 16 << 20
+
 func (c *Client) httpc() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
@@ -187,9 +193,9 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		return nil, 0, "", err
 	}
 	defer resp.Body.Close()
-	b, err = io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	b, err = capread.ReadAll(resp.Body, maxResponseBytes)
 	if err != nil {
-		return nil, 0, "", err
+		return nil, 0, "", fmt.Errorf("jobd: reading %s %s: %w", method, path, err)
 	}
 	return b, resp.StatusCode, resp.Header.Get("Retry-After"), nil
 }
@@ -281,19 +287,37 @@ func (c *Client) Job(ctx context.Context, id string) (JobView, error) {
 	return v, nil
 }
 
-// Jobs lists every job the server still retains, in admission order.
-func (c *Client) Jobs(ctx context.Context) ([]JobView, error) {
-	b, err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, http.StatusOK)
+// Jobs returns the summary of every job the server still retains, in
+// admission order, following the list's pages at ListMaxLimit. With
+// states, only jobs in one of those states are listed. Full items and
+// results come from Job.
+func (c *Client) Jobs(ctx context.Context, states ...State) ([]JobSummary, error) {
+	q := ListQuery{Limit: ListMaxLimit, States: states}
+	var out []JobSummary
+	for {
+		page, err := c.listPage(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, page.Jobs...)
+		if page.Next == "" {
+			return out, nil
+		}
+		q.After = page.Next
+	}
+}
+
+// listPage fetches one page of the job list.
+func (c *Client) listPage(ctx context.Context, q ListQuery) (JobPage, error) {
+	b, err := c.do(ctx, http.MethodGet, "/v1/jobs?"+q.Values().Encode(), nil, http.StatusOK)
 	if err != nil {
-		return nil, err
+		return JobPage{}, err
 	}
-	var out struct {
-		Jobs []JobView `json:"jobs"`
+	var page JobPage
+	if err := json.Unmarshal(b, &page); err != nil {
+		return JobPage{}, fmt.Errorf("jobd: decoding job list: %w", err)
 	}
-	if err := json.Unmarshal(b, &out); err != nil {
-		return nil, fmt.Errorf("jobd: decoding job list: %w", err)
-	}
-	return out.Jobs, nil
+	return page, nil
 }
 
 // Health probes the server's /healthz, returning nil on 200. It does

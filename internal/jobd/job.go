@@ -136,13 +136,16 @@ type job struct {
 	finished time.Time
 }
 
-// JobView is the wire representation of a job.
-type JobView struct {
+// JobSummary is a job without its items: the GET /v1/jobs list entry.
+// Every field is fixed-size or a short server-minted string, so a list
+// page's size is bounded by its length alone. Item specs, results,
+// error text and progress come only from GET /v1/jobs/{id}.
+type JobSummary struct {
 	ID       string `json:"id"`
 	State    State  `json:"state"`
 	Priority int    `json:"priority"`
-	Error    string `json:"error,omitempty"`
-	Items    []Item `json:"items"`
+	// ItemCount is the number of items (1 for a plain submission).
+	ItemCount int `json:"item_count"`
 	// ItemsDone counts finished items, for cheap progress polling.
 	ItemsDone int `json:"items_done"`
 	// CacheHits counts items served from the result cache.
@@ -153,9 +156,6 @@ type JobView struct {
 	// Recovered marks a job re-enqueued from the durable journal after
 	// a daemon restart.
 	Recovered bool `json:"recovered,omitempty"`
-	// Progress is the job's live telemetry, present once the runner has
-	// reported (and kept, frozen, after the job finishes).
-	Progress *ProgressView `json:"progress,omitempty"`
 	// Node names the server that holds this job (Options.NodeName).
 	// Empty on standalone daemons; in a cluster it tells gateway clients
 	// and tests where consistent-hash routing actually placed the job.
@@ -170,19 +170,28 @@ type JobView struct {
 	Finished *time.Time `json:"finished,omitempty"`
 }
 
-// view snapshots the job for marshalling; node is the serving node's
-// name (Options.NodeName). Caller holds the server lock.
-func (j *job) view(node string) JobView {
-	v := JobView{
+// JobView is the wire representation of one job: its summary plus
+// items, error text and live progress.
+type JobView struct {
+	JobSummary
+	Error string `json:"error,omitempty"`
+	Items []Item `json:"items"`
+	// Progress is the job's live telemetry, present once the runner has
+	// reported (and kept, frozen, after the job finishes).
+	Progress *ProgressView `json:"progress,omitempty"`
+}
+
+// summary snapshots the job without its items; node is the serving
+// node's name (Options.NodeName). Caller holds the server lock.
+func (j *job) summary(node string) JobSummary {
+	v := JobSummary{
 		ID:        j.id,
 		State:     j.state,
 		Priority:  j.priority,
-		Error:     j.err,
-		Items:     append([]Item(nil), j.items...),
+		ItemCount: len(j.items),
 		Created:   j.created,
 		Attempts:  j.attempts,
 		Recovered: j.recovered,
-		Progress:  j.prog.snapshot(time.Now()),
 		Node:      node,
 		TraceID:   j.traceID(),
 	}
@@ -203,6 +212,17 @@ func (j *job) view(node string) JobView {
 		v.Finished = &t
 	}
 	return v
+}
+
+// view snapshots the whole job for marshalling. Caller holds the
+// server lock.
+func (j *job) view(node string) JobView {
+	return JobView{
+		JobSummary: j.summary(node),
+		Error:      j.err,
+		Items:      append([]Item(nil), j.items...),
+		Progress:   j.prog.snapshot(time.Now()),
+	}
 }
 
 // traceID returns the job's trace ID as hex, "" when untraced.

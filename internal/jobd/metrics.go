@@ -23,6 +23,7 @@ type serverMetrics struct {
 	running   *obs.Metric // jobd_jobs_running
 	duration  *obs.Family // jobd_job_duration_seconds{state}
 	httpReqs  *obs.Family // jobd_http_requests_total{route,code}
+	httpBytes *obs.Family // jobd_http_response_bytes{route}
 	panics    *obs.Metric // jobd_worker_panics_total
 	retries   *obs.Metric // jobd_job_retries_total
 	recovered *obs.Metric // jobd_jobs_recovered_total
@@ -51,6 +52,8 @@ func newServerMetrics(start time.Time) *serverMetrics {
 			"Wall-clock job duration from start to terminal state.",
 			obs.DefBuckets, "state"),
 		httpReqs: fs.NewCounter("jobd_http_requests_total", "HTTP requests served.", "route", "code"),
+		httpBytes: fs.NewHistogram("jobd_http_response_bytes",
+			"HTTP response body bytes by route.", obs.ByteBuckets, "route"),
 		panics: fs.NewCounter("jobd_worker_panics_total",
 			"Runner panics recovered by the worker pool; each fails its job, never the daemon.").With(),
 		retries: fs.NewCounter("jobd_job_retries_total",

@@ -398,7 +398,7 @@ func TestClientRetryBackpressure(t *testing.T) {
 			httpError(w, http.StatusTooManyRequests, ErrQueueFull.Error())
 			return
 		}
-		writeJSON(w, http.StatusAccepted, JobView{ID: "j000001", State: StateQueued})
+		writeJSON(w, http.StatusAccepted, JobView{JobSummary: JobSummary{ID: "j000001", State: StateQueued}})
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	netpprof "net/http/pprof"
 	"runtime/debug"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -87,7 +88,8 @@ type Options struct {
 
 	// NodeName labels this server's jobs (JobView.Node) in a cluster so
 	// gateway clients and tests can see where routing placed a job.
-	// Empty (the standalone default) omits the field.
+	// Empty (the standalone default) omits the field. At most
+	// MaxNodeName bytes.
 	NodeName string
 
 	// CacheGet, when set, mounts GET /v1/cache/{key} serving raw result
@@ -155,6 +157,9 @@ type Server struct {
 func NewServer(opts Options) (*Server, error) {
 	if opts.Runner == nil {
 		return nil, errors.New("jobd: Options.Runner is required")
+	}
+	if len(opts.NodeName) > MaxNodeName {
+		return nil, fmt.Errorf("jobd: node name %q is over %d bytes", opts.NodeName, MaxNodeName)
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
@@ -393,15 +398,53 @@ func (s *Server) Job(id string) (JobView, bool) {
 	return j.view(s.opts.NodeName), true
 }
 
-// Jobs returns snapshots of every job in admission order.
-func (s *Server) Jobs() []JobView {
+// Jobs returns the summary of every retained job in admission order.
+func (s *Server) Jobs() []JobSummary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobView, 0, len(s.order))
+	out := make([]JobSummary, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.jobs[id].view(s.opts.NodeName))
+		out = append(out, s.jobs[id].summary(s.opts.NodeName))
 	}
 	return out
+}
+
+// List returns one page of job summaries in admission order: up to
+// q.Limit jobs admitted after the q.After cursor whose state q
+// selects. The page's Next cursor is set only when more such jobs
+// exist. Jobs admitted or evicted between pages never make a job
+// appear twice, since the cursor is an admission sequence number.
+func (s *Server) List(q ListQuery) (JobPage, error) {
+	if q.Limit < 1 || q.Limit > ListMaxLimit {
+		return JobPage{}, fmt.Errorf("jobd: list limit %d outside 1..%d", q.Limit, ListMaxLimit)
+	}
+	var after uint64
+	if q.After != "" {
+		var err error
+		if after, err = strconv.ParseUint(q.After, 10, 64); err != nil {
+			return JobPage{}, fmt.Errorf("jobd: bad list cursor %q", q.After)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// s.order is in ascending admission seq (recovered jobs first, in
+	// journal seq order), so the cursor is a binary search.
+	i := sort.Search(len(s.order), func(i int) bool { return s.jobs[s.order[i]].seq > after })
+	page := JobPage{Jobs: []JobSummary{}}
+	var last uint64
+	for ; i < len(s.order); i++ {
+		j := s.jobs[s.order[i]]
+		if !q.selects(j.state) {
+			continue
+		}
+		if len(page.Jobs) == q.Limit {
+			page.Next = strconv.FormatUint(last, 10)
+			break
+		}
+		page.Jobs = append(page.Jobs, j.summary(s.opts.NodeName))
+		last = j.seq
+	}
+	return page, nil
 }
 
 // worker pops jobs until the queue is empty and the server is
@@ -868,11 +911,13 @@ func requestID(ctx context.Context) string {
 }
 
 // statusRecorder captures the response code for the request log and
-// the http_requests_total code label, passing Flush through so SSE
-// streaming keeps working behind it.
+// the http_requests_total code label, and the body size for
+// http_response_bytes, passing Flush through so SSE streaming keeps
+// working behind it.
 type statusRecorder struct {
 	http.ResponseWriter
-	code int
+	code  int
+	bytes int
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -886,7 +931,9 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	if r.code == 0 {
 		r.code = http.StatusOK
 	}
-	return r.ResponseWriter.Write(b)
+	n, err := r.ResponseWriter.Write(b)
+	r.bytes += n
+	return n, err
 }
 
 func (r *statusRecorder) Flush() {
@@ -898,7 +945,7 @@ func (r *statusRecorder) Flush() {
 // Handler returns the HTTP API:
 //
 //	POST /v1/jobs             submit a job (SubmitRequest body)
-//	GET  /v1/jobs             list jobs
+//	GET  /v1/jobs             one page of job summaries (?limit=&after=&state=)
 //	GET  /v1/jobs/{id}        one job (includes live progress)
 //	GET  /v1/jobs/{id}/events server-sent event stream
 //	GET  /v1/jobs/{id}/trace  span timeline as Chrome trace_event JSON
@@ -933,9 +980,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // withTelemetry assigns each request an ID, counts it by route pattern
-// and status code, and logs it. The route label is the mux pattern
-// ("GET /v1/jobs/{id}"), never the raw path, so label cardinality
-// stays bounded.
+// and status code, records its response size by route, and logs it.
+// The route label is the mux pattern ("GET /v1/jobs/{id}"), never the
+// raw path, so label cardinality stays bounded.
 //
 // A well-formed inbound X-Request-Id is adopted instead of minted so
 // one ID threads a request across hops (client → gateway → backend);
@@ -973,7 +1020,8 @@ func (s *Server) withTelemetry(mux *http.ServeMux) http.Handler {
 			code = http.StatusOK
 		}
 		s.metrics.httpReqs.With(route, strconv.Itoa(code)).Inc()
-		s.log.Debug("http request", append(logArgs, "code", code,
+		s.metrics.httpBytes.With(route).Observe(float64(rec.bytes))
+		s.log.Debug("http request", append(logArgs, "code", code, "bytes", rec.bytes,
 			"duration_ms", float64(time.Since(start).Microseconds())/1000)...)
 	})
 }
@@ -1045,7 +1093,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
+	q, err := ParseListQuery(r.URL.Query())
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	page, err := s.List(q)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	writeJSON(w, http.StatusOK, page)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

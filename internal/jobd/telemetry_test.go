@@ -344,6 +344,49 @@ func TestHTTPRequestMetrics(t *testing.T) {
 	}
 }
 
+// TestHTTPResponseBytesMetric: every response's body size lands in
+// jobd_http_response_bytes under its route pattern, so a list page
+// that outgrows its bound shows on /metrics.
+func TestHTTPResponseBytesMetric(t *testing.T) {
+	var calls atomic.Int64
+	s := newTestServer(t, Options{Runner: echoRunner(&calls)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var listBytes int
+	for _, path := range []string{"/healthz", "/healthz", "/v1/jobs"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if path == "/v1/jobs" {
+			listBytes = len(b)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := obs.ParsePromText(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]float64{
+		`jobd_http_response_bytes_count{route="GET /healthz"}`:           2,
+		`jobd_http_response_bytes_sum{route="GET /healthz"}`:             float64(2 * len("ok\n")),
+		`jobd_http_response_bytes_bucket{le="256",route="GET /healthz"}`: 2,
+		`jobd_http_response_bytes_count{route="GET /v1/jobs"}`:           1,
+		`jobd_http_response_bytes_sum{route="GET /v1/jobs"}`:             float64(listBytes),
+	} {
+		if got, ok := prom.Sample(key); !ok || got != want {
+			t.Errorf("%s = %v (present=%v), want %v", key, got, ok, want)
+		}
+	}
+}
+
 // TestMetricsScrapeUnderLoad hammers /metrics while jobs run. Its real
 // assertion is the race detector (CI runs this package with -race):
 // scrapes must be safe against every hot-path metric update.

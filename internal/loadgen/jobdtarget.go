@@ -109,6 +109,11 @@ type TargetStats struct {
 
 // Finish waits until every accepted job reaches a terminal state (or
 // ctx expires), waits for the SSE watchers, and returns the tallies.
+//
+// Each poll lists only unfinished (queued or running) jobs, so it costs
+// the backlog, not the server's whole retained history. Once none of
+// this target's jobs is unfinished, one paged pass over the job
+// summaries tallies their outcomes.
 func (t *JobdTarget) Finish(ctx context.Context) (TargetStats, error) {
 	t.mu.Lock()
 	pending := make(map[string]bool, len(t.ids))
@@ -122,41 +127,19 @@ func (t *JobdTarget) Finish(ctx context.Context) (TargetStats, error) {
 	if poll <= 0 {
 		poll = 25 * time.Millisecond
 	}
-	for len(pending) > 0 {
-		views, err := t.Client.Jobs(ctx)
+	for {
+		unfinished, err := t.Client.Jobs(ctx, jobd.StateQueued, jobd.StateRunning)
 		if err != nil {
 			return st, fmt.Errorf("loadgen: polling jobs: %w", err)
 		}
-		byID := make(map[string]jobd.JobView, len(views))
-		for _, v := range views {
-			byID[v.ID] = v
+		waiting := false
+		for _, v := range unfinished {
+			if pending[v.ID] {
+				waiting = true
+				break
+			}
 		}
-		for id := range pending {
-			v, ok := byID[id]
-			if !ok {
-				// The server's RetainJobs bound evicted it; its items
-				// finished (eviction only takes terminal jobs) but the
-				// cache tally is lost.
-				st.Evicted++
-				delete(pending, id)
-				continue
-			}
-			if !v.State.Terminal() {
-				continue
-			}
-			switch v.State {
-			case jobd.StateDone:
-				st.Done++
-			case jobd.StateFailed:
-				st.Failed++
-			case jobd.StateCancelled:
-				st.Cancelled++
-			}
-			st.ItemsDone += v.ItemsDone
-			st.CacheHits += v.CacheHits
-			delete(pending, id)
-		}
-		if len(pending) == 0 {
+		if !waiting {
 			break
 		}
 		select {
@@ -165,6 +148,30 @@ func (t *JobdTarget) Finish(ctx context.Context) (TargetStats, error) {
 			return st, ctx.Err()
 		}
 	}
+	all, err := t.Client.Jobs(ctx)
+	if err != nil {
+		return st, fmt.Errorf("loadgen: listing jobs: %w", err)
+	}
+	for _, v := range all {
+		if !pending[v.ID] {
+			continue
+		}
+		switch v.State {
+		case jobd.StateDone:
+			st.Done++
+		case jobd.StateFailed:
+			st.Failed++
+		case jobd.StateCancelled:
+			st.Cancelled++
+		}
+		st.ItemsDone += v.ItemsDone
+		st.CacheHits += v.CacheHits
+		delete(pending, v.ID)
+	}
+	// The server's RetainJobs bound evicted the rest; their items
+	// finished (eviction only takes terminal jobs) but the cache tally
+	// is lost.
+	st.Evicted = len(pending)
 
 	// SSE watchers end when their job's stream closes (terminal) or
 	// their run ctx is cancelled; bound the wait by this ctx anyway.

@@ -143,6 +143,10 @@ func (s *FamilySet) GaugeFunc(name, help string, fn func() float64) {
 // spanning one millisecond to about four minutes.
 var DefBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10, 30, 60, 120, 240}
 
+// ByteBuckets are size bucket bounds in bytes, 256 B to 64 MiB in
+// steps of four.
+var ByteBuckets = []float64{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24, 1 << 26}
+
 // Name returns the family name.
 func (f *Family) Name() string { return f.name }
 
