@@ -5,15 +5,20 @@
 //
 //	gpuwalksim -workload MVT -sched simt-aware
 //	gpuwalksim -workload XSB -sched fcfs -walkers 16 -l2tlb 1024
+//	gpuwalksim -workload XSB -cpuprofile cpu.pprof   # then: go tool pprof cpu.pprof
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime/pprof"
 
 	"gpuwalk"
+	"gpuwalk/internal/atomicio"
 	"gpuwalk/internal/report"
 )
 
@@ -37,6 +42,7 @@ func main() {
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON of the run (load in chrome://tracing or Perfetto)")
 		metsOut  = flag.String("metrics", "", "write a per-epoch metrics CSV time series")
 		epoch    = flag.Uint64("epoch", 0, "metrics sampling period in cycles (0 = default 10000)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run (trace generation, machine set-up and simulation) to this file")
 
 		faultRate  = flag.Float64("fault-rate", 0, "inject page faults: probability a demand walk finds its PTE non-present (0 = off)")
 		faultLat   = flag.Uint64("fault-lat", 0, "OS page-fault service latency in cycles (0 = default)")
@@ -111,7 +117,27 @@ func main() {
 		cfg.Obs.MetricsEpoch = *epoch
 	}
 
+	// The profile is buffered and written once the run ends, so an
+	// interrupted run leaves no truncated file behind.
+	var prof bytes.Buffer
+	if *cpuProf != "" {
+		if err := pprof.StartCPUProfile(&prof); err != nil {
+			fmt.Fprintf(os.Stderr, "gpuwalksim: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	res, err := gpuwalk.Run(cfg)
+	if *cpuProf != "" {
+		pprof.StopCPUProfile()
+		if werr := atomicio.WriteFile(*cpuProf, func(w io.Writer) error {
+			_, err := w.Write(prof.Bytes())
+			return err
+		}); werr != nil {
+			fmt.Fprintf(os.Stderr, "gpuwalksim: writing CPU profile: %v\n", werr)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "CPU profile written to %s\n", *cpuProf)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gpuwalksim: %v\n", err)
 		os.Exit(1)

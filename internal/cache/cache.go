@@ -36,8 +36,10 @@ type Config struct {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.LineBytes == 0 || c.LineBytes&(c.LineBytes-1) != 0:
-		return fmt.Errorf("cache %s: LineBytes must be a power of two, got %d", c.Name, c.LineBytes)
+	case c.LineBytes < 4 || c.LineBytes&(c.LineBytes-1) != 0:
+		// A packed line word keeps the tag in bits 2..63, so lines of
+		// at least 4 bytes make every 64-bit line address fit.
+		return fmt.Errorf("cache %s: LineBytes must be a power of two of at least 4, got %d", c.Name, c.LineBytes)
 	case c.Ways <= 0:
 		return fmt.Errorf("cache %s: Ways must be positive, got %d", c.Name, c.Ways)
 	case c.SizeBytes == 0 || c.SizeBytes%(c.LineBytes*uint64(c.Ways)) != 0:
@@ -60,16 +62,14 @@ type Stats struct {
 	MSHRStalls uint64 // accesses rejected because MSHRs were full
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
-
-type set struct {
-	lines []line
-	plru  uint64 // tree pseudo-LRU state bits
-}
+// A line is packed into one word: its tag (the line address >> lineSh)
+// in bits 2..63, dirty in bit 1, valid in bit 0. The zero word is an
+// invalid line.
+const (
+	lineValid    = 1 << 0
+	lineDirty    = 1 << 1
+	lineTagShift = 2
+)
 
 type mshr struct {
 	write   bool
@@ -88,7 +88,9 @@ type Cache struct {
 	cfg      Config
 	eng      *sim.Engine
 	lower    AccessFn
-	sets     []set
+	lines    []uint64 // set s, way w at s*ways+w
+	plru     []uint64 // per set: tree pseudo-LRU state bits
+	ways     int
 	setMask  uint64
 	lineSh   uint
 	mshrs    map[uint64]*mshr // keyed by line address
@@ -108,12 +110,11 @@ func New(eng *sim.Engine, cfg Config, lower AccessFn) *Cache {
 		cfg:     cfg,
 		eng:     eng,
 		lower:   lower,
-		sets:    make([]set, nsets),
+		lines:   make([]uint64, nsets*uint64(cfg.Ways)),
+		plru:    make([]uint64, nsets),
+		ways:    cfg.Ways,
 		setMask: nsets - 1,
 		mshrs:   make(map[uint64]*mshr),
-	}
-	for i := range c.sets {
-		c.sets[i].lines = make([]line, cfg.Ways)
 	}
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
 		c.lineSh++
@@ -171,14 +172,13 @@ func (c *Cache) handle(la uint64, write bool, done func(), readyAt sim.Cycle, fr
 		done = func() {} // fire-and-forget (e.g. writebacks from above)
 	}
 	idx, tag := c.indexTag(la)
-	s := &c.sets[idx]
-	if w := c.findWay(s, tag); w >= 0 {
+	if w := c.findWay(idx, tag); w >= 0 {
 		if fresh {
 			c.stats.Lookups.Hit()
 		}
-		c.touch(s, w)
+		c.touch(idx, w)
 		if write {
-			s.lines[w].dirty = true
+			c.lines[int(idx)*c.ways+w] |= lineDirty
 		}
 		c.eng.At(readyAt, done)
 		return
@@ -207,14 +207,7 @@ func (c *Cache) handle(la uint64, write bool, done func(), readyAt sim.Cycle, fr
 // Probe reports whether the line containing addr is resident, without
 // touching replacement state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	idx, tag := c.indexTag(c.lineAddr(addr))
-	s := &c.sets[idx]
-	for w := range s.lines {
-		if s.lines[w].valid && s.lines[w].tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.findWay(c.indexTag(c.lineAddr(addr))) >= 0
 }
 
 // fetch sends the miss for line la to the lower level, retrying on
@@ -240,19 +233,22 @@ func (c *Cache) fill(la uint64) {
 	c.stats.Fills++
 
 	idx, tag := c.indexTag(la)
-	s := &c.sets[idx]
-	w := c.victim(s)
-	if s.lines[w].valid {
+	w := c.victim(idx)
+	i := int(idx)*c.ways + w
+	if old := c.lines[i]; old&lineValid != 0 {
 		c.stats.Evictions++
-		if s.lines[w].dirty {
+		if old&lineDirty != 0 {
 			c.stats.Writebacks++
 			// The tag is the full line address >> lineSh, so shifting
 			// back reconstructs the victim's line address.
-			c.writeback(s.lines[w].tag << c.lineSh)
+			c.writeback(old >> lineTagShift << c.lineSh)
 		}
 	}
-	s.lines[w] = line{tag: tag, valid: true, dirty: m.write}
-	c.touch(s, w)
+	c.lines[i] = tag<<lineTagShift | lineValid
+	if m.write {
+		c.lines[i] |= lineDirty
+	}
+	c.touch(idx, w)
 	for _, fn := range m.waiters {
 		fn()
 	}
@@ -280,49 +276,59 @@ func (c *Cache) writeback(la uint64) {
 	}
 }
 
-// findWay returns the way holding tag, or -1.
-func (c *Cache) findWay(s *set, tag uint64) int {
-	for w := range s.lines {
-		if s.lines[w].valid && s.lines[w].tag == tag {
+// set returns the line words of set idx.
+func (c *Cache) set(idx uint64) []uint64 {
+	base := int(idx) * c.ways
+	return c.lines[base : base+c.ways : base+c.ways]
+}
+
+// findWay returns the way of set idx holding tag, or -1.
+func (c *Cache) findWay(idx, tag uint64) int {
+	want := tag<<lineTagShift | lineValid
+	for w, l := range c.set(idx) {
+		if l&^lineDirty == want {
 			return w
 		}
 	}
 	return -1
 }
 
-// touch marks way w most-recently used in the tree pseudo-LRU bits.
-// The tree is stored implicitly: node i has children 2i+1, 2i+2; leaves
-// map to ways. Setting the path bits to point *away* from w protects it.
-func (c *Cache) touch(s *set, w int) {
-	n := len(s.lines)
+// touch marks way w of set idx most-recently used in the tree
+// pseudo-LRU bits. The tree is stored implicitly: node i has children
+// 2i+1, 2i+2; leaves map to ways. Setting the path bits to point *away*
+// from w protects it.
+func (c *Cache) touch(idx uint64, w int) {
+	bits := c.plru[idx]
 	node := 0
-	for sz := n; sz > 1; {
+	for sz := c.ways; sz > 1; {
 		half := sz / 2
 		if w < half {
-			s.plru |= 1 << uint(node) // 1 = victim search goes right
+			bits |= 1 << uint(node) // 1 = victim search goes right
 			node = 2*node + 1
 			sz = half
 		} else {
-			s.plru &^= 1 << uint(node)
+			bits &^= 1 << uint(node)
 			node = 2*node + 2
 			w -= half
 			sz -= half
 		}
 	}
+	c.plru[idx] = bits
 }
 
-// victim picks a way to replace: first invalid way, else pseudo-LRU.
-func (c *Cache) victim(s *set) int {
-	for w := range s.lines {
-		if !s.lines[w].valid {
+// victim picks a way of set idx to replace: first invalid way, else
+// pseudo-LRU.
+func (c *Cache) victim(idx uint64) int {
+	for w, l := range c.set(idx) {
+		if l&lineValid == 0 {
 			return w
 		}
 	}
-	n := len(s.lines)
+	bits := c.plru[idx]
 	node, base := 0, 0
-	for sz := n; sz > 1; {
+	for sz := c.ways; sz > 1; {
 		half := sz / 2
-		if s.plru&(1<<uint(node)) != 0 { // go right
+		if bits&(1<<uint(node)) != 0 { // go right
 			node = 2*node + 2
 			base += half
 			sz -= half

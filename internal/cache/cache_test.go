@@ -256,6 +256,7 @@ func TestValidateErrors(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.LineBytes = 0 },
 		func(c *Config) { c.LineBytes = 96 },
+		func(c *Config) { c.LineBytes = 2 }, // a packed line word has no room for its tag
 		func(c *Config) { c.Ways = 0 },
 		func(c *Config) { c.SizeBytes = 1000 },
 		func(c *Config) { c.SizeBytes = c.LineBytes * uint64(c.Ways) * 3 }, // 3 sets

@@ -3,7 +3,6 @@ package gpu
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"gpuwalk/internal/cache"
@@ -214,13 +213,7 @@ func NewSystem(p Params, tr *workload.Trace) (*System, error) {
 	}
 	// Premap in sorted VPN order so frame placement — and with it DRAM
 	// timing — is identical across runs of the same trace and seed.
-	pages := tr.TouchedPages(p.GPU.PageBits)
-	vpns := make([]uint64, 0, len(pages))
-	for vpn := range pages {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
+	for _, vpn := range tr.TouchedPages(p.GPU.PageBits) {
 		if _, err := s.as.Ensure(vpn << p.GPU.PageBits); err != nil {
 			return nil, err
 		}

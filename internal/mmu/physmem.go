@@ -88,7 +88,7 @@ func (m *PhysMem) WordCount() int { return len(m.words) }
 type Allocator struct {
 	mem     *PhysMem
 	rng     *xrand.Rand
-	used    map[uint64]struct{}
+	used    frameSet
 	n       uint64
 	runNext uint64 // bump pointer for AllocRun (grows downward)
 }
@@ -98,8 +98,38 @@ func NewAllocator(mem *PhysMem, seed uint64) *Allocator {
 	return &Allocator{
 		mem:  mem,
 		rng:  xrand.New(seed),
-		used: make(map[uint64]struct{}),
+		used: newFrameSet(mem.frames),
 	}
+}
+
+// frameChunkBits sizes a frameSet chunk: 1<<15 frames, a 4 KiB bitmap.
+const frameChunkBits = 15
+
+type frameChunk [1 << frameChunkBits / 64]uint64
+
+// frameSet is the allocator's used-frame bitset. It is split into
+// chunks allocated on first use, so a sparse frame space (the 64 GiB
+// large-page configuration) costs only the chunks it touches.
+type frameSet struct {
+	chunks []*frameChunk
+}
+
+func newFrameSet(frames uint64) frameSet {
+	return frameSet{chunks: make([]*frameChunk, (frames+1<<frameChunkBits-1)>>frameChunkBits)}
+}
+
+func (s *frameSet) has(f uint64) bool {
+	c := s.chunks[f>>frameChunkBits]
+	return c != nil && c[f%(1<<frameChunkBits)/64]&(1<<(f%64)) != 0
+}
+
+func (s *frameSet) add(f uint64) {
+	c := s.chunks[f>>frameChunkBits]
+	if c == nil {
+		c = new(frameChunk)
+		s.chunks[f>>frameChunkBits] = c
+	}
+	c[f%(1<<frameChunkBits)/64] |= 1 << (f % 64)
 }
 
 // Alloc returns a free frame number, or ok=false when memory is
@@ -110,8 +140,8 @@ func (a *Allocator) Alloc() (pfn uint64, ok bool) {
 	}
 	for {
 		pfn = 1 + a.rng.Uint64n(a.mem.frames-1)
-		if _, taken := a.used[pfn]; !taken {
-			a.used[pfn] = struct{}{}
+		if !a.used.has(pfn) {
+			a.used.add(pfn)
 			a.n++
 			return pfn, true
 		}
@@ -140,12 +170,12 @@ func (a *Allocator) AllocRun(n uint64) (base uint64, ok bool) {
 cand:
 	for cand := (a.runNext - n) &^ (n - 1); cand >= a.mem.frames/2; cand -= n {
 		for f := cand; f < cand+n; f++ {
-			if _, taken := a.used[f]; taken {
+			if a.used.has(f) {
 				continue cand
 			}
 		}
 		for f := cand; f < cand+n; f++ {
-			a.used[f] = struct{}{}
+			a.used.add(f)
 		}
 		a.n += n
 		a.runNext = cand

@@ -67,7 +67,8 @@ type entry struct {
 }
 
 type level struct {
-	sets    [][]entry
+	entries []entry // set s, way w at s*ways+w
+	ways    int
 	setMask uint64
 	clock   uint64
 }
@@ -99,10 +100,10 @@ func New(cfg Config) *PWC {
 	p := &PWC{cfg: cfg}
 	nsets := cfg.EntriesPerLevel / cfg.Ways
 	for l := range p.levels {
-		p.levels[l].sets = make([][]entry, nsets)
-		p.levels[l].setMask = uint64(nsets - 1)
-		for s := range p.levels[l].sets {
-			p.levels[l].sets[s] = make([]entry, cfg.Ways)
+		p.levels[l] = level{
+			entries: make([]entry, cfg.EntriesPerLevel),
+			ways:    cfg.Ways,
+			setMask: uint64(nsets - 1),
 		}
 	}
 	return p
@@ -127,8 +128,14 @@ func tagFor(vpn uint64, l int) uint64 {
 	return vpn >> shift
 }
 
+// set returns the entries of the set tag maps to.
+func (lv *level) set(tag uint64) []entry {
+	base := int(tag&lv.setMask) * lv.ways
+	return lv.entries[base : base+lv.ways : base+lv.ways]
+}
+
 func (lv *level) find(tag uint64) *entry {
-	set := lv.sets[tag&lv.setMask]
+	set := lv.set(tag)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return &set[i]
@@ -219,7 +226,7 @@ func (p *PWC) FillN(vpn uint64, upper int) {
 
 func (p *PWC) fillLevel(l int, tag uint64) {
 	lv := &p.levels[l]
-	set := lv.sets[tag&lv.setMask]
+	set := lv.set(tag)
 	lv.clock++
 
 	// Refresh if already present.

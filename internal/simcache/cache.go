@@ -271,31 +271,50 @@ func (c *Cache) GetContext(ctx context.Context, key string) (payload []byte, ok 
 // GetLocal is Get without the peer read-through: it consults only this
 // process's store. The cluster cache-serving endpoint uses it so a
 // peer fetch can never recurse into another peer fetch.
+//
+// The object is read and verified outside the cache lock, so
+// concurrent hits do not serialize on disk reads and hashing. The
+// index entry is re-checked afterwards: a failed read or digest drops
+// the entry only if the index still holds the one that was read, never
+// one a concurrent Put installed meanwhile.
 func (c *Cache) GetLocal(key string) (payload []byte, ok bool, err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	e, found := c.entries[key]
+	var digest string
+	if found {
+		digest = e.Digest
+	} else {
+		c.stats.Misses++
+	}
+	c.mu.Unlock()
 	if !found {
-		c.stats.Misses++
 		return nil, false, nil
 	}
-	b, err := os.ReadFile(c.objectPath(key))
-	if err != nil {
-		// Object vanished out from under the index (partial cleanup,
-		// concurrent eviction by another process): treat as a miss.
-		c.dropLocked(e)
+
+	b, readErr := os.ReadFile(c.objectPath(key))
+	valid := readErr == nil && PayloadDigest(b) == digest
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !valid {
+		// A read error means the object vanished out from under the
+		// index (partial cleanup, eviction by another goroutine or
+		// process); a digest mismatch means it is corrupt. Either way
+		// it is a miss.
 		c.stats.Misses++
+		if c.entries[key] == e {
+			c.dropLocked(e)
+			if readErr == nil {
+				c.stats.Corrupt++
+			}
+		}
 		return nil, false, nil
 	}
-	if PayloadDigest(b) != e.Digest {
-		c.dropLocked(e)
-		c.stats.Corrupt++
-		c.stats.Misses++
-		return nil, false, nil
+	if cur := c.entries[key]; cur != nil {
+		c.seq++
+		cur.Seq = c.seq
+		c.dirty = true
 	}
-	c.seq++
-	e.Seq = c.seq
-	c.dirty = true
 	c.stats.Hits++
 	return b, true, nil
 }

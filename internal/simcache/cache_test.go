@@ -175,6 +175,74 @@ func TestConcurrentPutGet(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentGetPutEvict races hits, misses, puts and LRU evictions
+// on a small key set under a byte cap that holds only a few entries.
+// Run it under -race: GetLocal reads and hashes objects outside the
+// cache lock, so this is where a missed lock would show. Every hit
+// must return its key's payload, and since a key's payload never
+// changes no read may be booked as corrupt.
+func TestConcurrentGetPutEvict(t *testing.T) {
+	const (
+		keys    = 12
+		workers = 6
+		rounds  = 150
+	)
+	payload := func(k int) []byte { return []byte(fmt.Sprintf("payload-%02d-%s", k, strings.Repeat("x", 64))) }
+	keyOf := make([]string, keys)
+	for k := range keyOf {
+		keyOf[k] = mustKey(t, "evict", k)
+	}
+	// Room for three payloads, so most puts evict.
+	c := open(t, t.TempDir(), Options{MaxBytes: int64(3 * len(payload(0)))})
+
+	var gets sync.WaitGroup
+	var mu sync.Mutex
+	calls := 0
+	for w := 0; w < workers; w++ {
+		gets.Add(1)
+		go func(w int) {
+			defer gets.Done()
+			for i := 0; i < rounds; i++ {
+				k := (w*7 + i*5) % keys
+				if i%3 == 0 {
+					if err := c.Put(keyOf[k], payload(k)); err != nil {
+						t.Errorf("Put: %v", err)
+						return
+					}
+					continue
+				}
+				got, ok, err := c.GetLocal(keyOf[k])
+				mu.Lock()
+				calls++
+				mu.Unlock()
+				if err != nil {
+					t.Errorf("GetLocal: %v", err)
+					return
+				}
+				if ok && string(got) != string(payload(k)) {
+					t.Errorf("GetLocal(%d) = %q, want %q", k, got, payload(k))
+					return
+				}
+			}
+		}(w)
+	}
+	gets.Wait()
+
+	st := c.Stats()
+	if st.Hits+st.Misses != uint64(calls) {
+		t.Errorf("hits %d + misses %d != %d gets", st.Hits, st.Misses, calls)
+	}
+	if st.Corrupt != 0 {
+		t.Errorf("Corrupt = %d, want 0: a raced read was booked as corruption", st.Corrupt)
+	}
+	if st.Evictions == 0 || st.Hits == 0 {
+		t.Errorf("stats %+v: want both evictions and hits", st)
+	}
+	if max := int64(3 * len(payload(0))); c.Size() > max {
+		t.Errorf("Size = %d, over the %d cap", c.Size(), max)
+	}
+}
+
 func TestGetJSONPutJSON(t *testing.T) {
 	c := open(t, t.TempDir(), Options{})
 	type rec struct {

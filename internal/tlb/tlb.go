@@ -76,10 +76,6 @@ type entry struct {
 	used  uint64 // LRU stamp
 }
 
-type set struct {
-	entries []entry
-}
-
 // Stats counts TLB activity.
 type Stats struct {
 	Lookups   stats.Ratio
@@ -90,7 +86,8 @@ type Stats struct {
 // TLB is one translation lookaside buffer.
 type TLB struct {
 	cfg     Config
-	sets    []set
+	entries []entry // set s, way w at s*ways+w
+	ways    int
 	setMask uint64
 	clock   uint64
 	rng     uint64 // random-replacement stream state
@@ -111,11 +108,19 @@ func New(cfg Config) *TLB {
 		ways = cfg.Entries
 	}
 	nsets := cfg.Entries / ways
-	t := &TLB{cfg: cfg, sets: make([]set, nsets), setMask: uint64(nsets - 1), rng: 0x9e3779b97f4a7c15}
-	for i := range t.sets {
-		t.sets[i].entries = make([]entry, ways)
+	return &TLB{
+		cfg:     cfg,
+		entries: make([]entry, cfg.Entries),
+		ways:    ways,
+		setMask: uint64(nsets - 1),
+		rng:     0x9e3779b97f4a7c15,
 	}
-	return t
+}
+
+// set returns the entries of the set vpn maps to.
+func (t *TLB) set(vpn uint64) []entry {
+	base := int(vpn&t.setMask) * t.ways
+	return t.entries[base : base+t.ways : base+t.ways]
 }
 
 // Stats returns a snapshot of the accumulated statistics.
@@ -134,9 +139,9 @@ func (t *TLB) Config() Config { return t.cfg }
 // recency state (under LRU), and records a hit; on a miss it records a
 // miss.
 func (t *TLB) Lookup(vpn uint64) (pfn uint64, ok bool) {
-	s := &t.sets[vpn&t.setMask]
-	for i := range s.entries {
-		e := &s.entries[i]
+	s := t.set(vpn)
+	for i := range s {
+		e := &s[i]
 		if e.valid && e.vpn == vpn {
 			if t.cfg.Repl == LRU {
 				t.clock++
@@ -155,9 +160,8 @@ func (t *TLB) Lookup(vpn uint64) (pfn uint64, ok bool) {
 
 // Probe reports whether vpn is resident without updating LRU or stats.
 func (t *TLB) Probe(vpn uint64) bool {
-	s := &t.sets[vpn&t.setMask]
-	for i := range s.entries {
-		if s.entries[i].valid && s.entries[i].vpn == vpn {
+	for _, e := range t.set(vpn) {
+		if e.valid && e.vpn == vpn {
 			return true
 		}
 	}
@@ -168,10 +172,10 @@ func (t *TLB) Probe(vpn uint64) bool {
 // policy if the set is full. Inserting an already-present vpn refreshes
 // its pfn (and its recency under LRU).
 func (t *TLB) Insert(vpn, pfn uint64) {
-	s := &t.sets[vpn&t.setMask]
+	s := t.set(vpn)
 	t.clock++
-	for i := range s.entries {
-		e := &s.entries[i]
+	for i := range s {
+		e := &s[i]
 		if e.valid && e.vpn == vpn {
 			e.pfn = pfn
 			if t.cfg.Repl == LRU {
@@ -181,8 +185,8 @@ func (t *TLB) Insert(vpn, pfn uint64) {
 		}
 	}
 	victim := -1
-	for i := range s.entries {
-		if !s.entries[i].valid {
+	for i := range s {
+		if !s[i].valid {
 			victim = i
 			break
 		}
@@ -191,24 +195,24 @@ func (t *TLB) Insert(vpn, pfn uint64) {
 		victim = t.pickVictim(s)
 		t.stats.Evictions++
 	}
-	s.entries[victim] = entry{vpn: vpn, pfn: pfn, valid: true, used: t.clock}
+	s[victim] = entry{vpn: vpn, pfn: pfn, valid: true, used: t.clock}
 	t.stats.Fills++
 }
 
 // pickVictim selects a valid entry to evict from a full set.
-func (t *TLB) pickVictim(s *set) int {
+func (t *TLB) pickVictim(s []entry) int {
 	switch t.cfg.Repl {
 	case RandomRepl:
 		// xorshift64*: cheap deterministic stream seeded by the clock.
 		t.rng ^= t.rng << 13
 		t.rng ^= t.rng >> 7
 		t.rng ^= t.rng << 17
-		return int(t.rng % uint64(len(s.entries)))
+		return int(t.rng % uint64(len(s)))
 	default: // LRU and FIFO both evict the smallest stamp; they differ
 		// in whether Lookup refreshes it.
 		victim := 0
-		for i := range s.entries {
-			if s.entries[i].used < s.entries[victim].used {
+		for i := range s {
+			if s[i].used < s[victim].used {
 				victim = i
 			}
 		}
@@ -218,10 +222,10 @@ func (t *TLB) pickVictim(s *set) int {
 
 // Invalidate removes vpn if present, reporting whether it was resident.
 func (t *TLB) Invalidate(vpn uint64) bool {
-	s := &t.sets[vpn&t.setMask]
-	for i := range s.entries {
-		if s.entries[i].valid && s.entries[i].vpn == vpn {
-			s.entries[i] = entry{}
+	s := t.set(vpn)
+	for i := range s {
+		if s[i].valid && s[i].vpn == vpn {
+			s[i] = entry{}
 			return true
 		}
 	}
@@ -229,22 +233,14 @@ func (t *TLB) Invalidate(vpn uint64) bool {
 }
 
 // Flush empties the TLB.
-func (t *TLB) Flush() {
-	for i := range t.sets {
-		for j := range t.sets[i].entries {
-			t.sets[i].entries[j] = entry{}
-		}
-	}
-}
+func (t *TLB) Flush() { clear(t.entries) }
 
 // Occupancy returns the number of valid entries.
 func (t *TLB) Occupancy() int {
 	n := 0
-	for i := range t.sets {
-		for j := range t.sets[i].entries {
-			if t.sets[i].entries[j].valid {
-				n++
-			}
+	for _, e := range t.entries {
+		if e.valid {
+			n++
 		}
 	}
 	return n

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"gpuwalk/internal/xrand"
 )
 
 // smallGen keeps generator tests fast.
@@ -336,6 +338,41 @@ func TestAnalysisPrint(t *testing.T) {
 	for _, want := range []string{"instructions", "pages/instr", "divergence histogram"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("analysis print missing %q", want)
+		}
+	}
+}
+
+// TestTouchedPagesSortedDistinct checks TouchedPages against a map of
+// every lane's page, on a trace with many more pages than the seen-page
+// filter has slots, so filter collisions append repeats that the
+// result must not contain.
+func TestTouchedPagesSortedDistinct(t *testing.T) {
+	rng := xrand.New(3)
+	tr := &Trace{Name: "pages"}
+	want := map[uint64]bool{}
+	for wi := 0; wi < 8; wi++ {
+		var w WavefrontTrace
+		for ii := 0; ii < 200; ii++ {
+			lanes := make([]uint64, 16)
+			for l := range lanes {
+				lanes[l] = (1 + rng.Uint64n(20000)) << 12
+				want[lanes[l]>>12] = true
+			}
+			w.Instrs = append(w.Instrs, MemInstr{Lanes: lanes})
+		}
+		tr.Wavefronts = append(tr.Wavefronts, w)
+	}
+	// Page 0, touched first, must count although a zero filter slot
+	// means empty.
+	tr.Wavefronts[0].Instrs = append([]MemInstr{{Lanes: []uint64{0}}}, tr.Wavefronts[0].Instrs...)
+	want[0] = true
+	got := tr.TouchedPages(12)
+	if len(got) != len(want) {
+		t.Fatalf("%d pages, want %d distinct", len(got), len(want))
+	}
+	for i, vpn := range got {
+		if !want[vpn] || (i > 0 && got[i-1] >= vpn) {
+			t.Fatalf("page %d = %d: not a touched page in ascending order", i, vpn)
 		}
 	}
 }
