@@ -487,64 +487,41 @@ func BenchmarkDRAMAccess(b *testing.B) {
 
 // BenchmarkSchedulerSelect measures steady-state scheduling throughput
 // (one dispatch plus one arrival per iteration, buffer occupancy held
-// at the target size) for the indexed pending buffer against the linear
-// reference, across the ISSUE's buffer sweep. Requests arrive in
-// same-instruction runs of 8, matching the coalescer's bursty miss
-// pattern.
+// at the target size) across buffer sizes from Table I's 256 entries
+// up. Requests arrive in same-instruction runs of 8, matching the
+// coalescer's bursty miss pattern.
 func BenchmarkSchedulerSelect(b *testing.B) {
 	for _, kind := range []core.Kind{core.KindSIMTAware, core.KindCUFair} {
 		for _, entries := range []int{256, 1024, 4096} {
-			for _, ref := range []bool{true, false} {
-				mode := "indexed"
-				if ref {
-					mode = "reference"
-				}
-				b.Run(string(kind)+"/"+mode+"/buf-"+strconv.Itoa(entries), func(b *testing.B) {
-					benchSchedulerSteadyState(b, kind, entries, ref)
-				})
-			}
+			b.Run(string(kind)+"/buf-"+strconv.Itoa(entries), func(b *testing.B) {
+				benchSchedulerSteadyState(b, kind, entries)
+			})
 		}
 	}
 }
 
-func benchSchedulerSteadyState(b *testing.B, kind core.Kind, entries int, ref bool) {
-	s, err := core.New(kind, core.Options{Seed: 1, AgingThreshold: 1 << 20, Reference: ref})
+func benchSchedulerSteadyState(b *testing.B, kind core.Kind, entries int) {
+	s, err := core.New(kind, core.Options{Seed: 1, AgingThreshold: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, _ := s.(core.IndexedScheduler)
-	var pending []*core.Request
 	seq := uint64(0)
 	admit := func() {
 		seq++
 		instr := core.InstrID(seq / 8)
-		r := &core.Request{
+		s.Admit(&core.Request{
 			Instr: instr,
 			CU:    int(uint64(instr) % 8),
 			Seq:   seq,
 			Est:   1 + int(seq%4),
-		}
-		if ix != nil {
-			ix.Admit(r)
-			return
-		}
-		pending = append(pending, r)
-		s.OnArrival(r, pending)
-	}
-	pick := func() {
-		if ix != nil {
-			ix.Pick()
-			return
-		}
-		i := s.Select(pending)
-		pending = append(pending[:i], pending[i+1:]...)
+		})
 	}
 	for i := 0; i < entries; i++ {
 		admit()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pick()
+		s.Pick()
 		admit()
 	}
 }

@@ -313,7 +313,9 @@ func TestEndToEnd(t *testing.T) {
 }
 
 // TestRunnerRejectsBadSpec: unknown fields and broken JSON fail the
-// item instead of silently simulating a default config.
+// item instead of silently simulating a default config. That includes
+// the retired SchedOpts.Reference, in new submissions and in journaled
+// specs replayed after a restart, which run through the same runner.
 func TestRunnerRejectsBadSpec(t *testing.T) {
 	cache, err := gpuwalk.OpenResultCache(t.TempDir(), 0)
 	if err != nil {
@@ -321,9 +323,12 @@ func TestRunnerRejectsBadSpec(t *testing.T) {
 	}
 	defer cache.Close()
 	r := newRunner(cache, 500)
-	for _, spec := range []string{`{"Workloud":"MVT"}`, `{"GPU":{"CUs":"two"}}`, `not json`} {
+	for _, spec := range []string{`{"Workloud":"MVT"}`, `{"GPU":{"CUs":"two"}}`, `not json`,
+		`{"SchedOpts":{"Reference":true}}`} {
 		if _, _, err := r(context.Background(), json.RawMessage(spec)); err == nil {
 			t.Errorf("runner accepted bad spec %s", spec)
+		} else if !strings.HasPrefix(err.Error(), "bad spec") {
+			t.Errorf("spec %s failed with %v, want a bad spec error", spec, err)
 		}
 	}
 }

@@ -41,14 +41,23 @@ func TestConfigRoundtrip(t *testing.T) {
 }
 
 func TestLoadConfigRejectsUnknownFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"NotAField": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gpuwalk.LoadConfig(path); err == nil {
-		t.Error("unknown field accepted")
-	} else if !strings.Contains(err.Error(), "NotAField") {
-		t.Errorf("error does not name the field: %v", err)
+	for _, tc := range []struct {
+		name, json, field string
+	}{
+		{"top level", `{"NotAField": 1}`, "NotAField"},
+		// SchedOpts.Reference selected the linear reference schedulers,
+		// which now exist only as test oracles.
+		{"retired SchedOpts.Reference", `{"SchedOpts":{"Reference":true}}`, "Reference"},
+	} {
+		path := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gpuwalk.LoadConfig(path); err == nil {
+			t.Errorf("%s: unknown field accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error does not name the field: %v", tc.name, err)
+		}
 	}
 }
 

@@ -85,6 +85,28 @@ func TestConfigHashSemanticChanges(t *testing.T) {
 	}
 }
 
+// TestConfigHashGolden pins the content address of two configs. Keys
+// name cached results on disk, so a Config or Options field edit that
+// moves them must update these values on purpose, and document the
+// one-time cache miss it causes (docs/SERVER.md).
+func TestConfigHashGolden(t *testing.T) {
+	simt := gpuwalk.DefaultConfig()
+	simt.Scheduler = gpuwalk.SIMTAware
+	simt.IOMMU.Walkers = 16
+	for _, tc := range []struct {
+		name string
+		cfg  gpuwalk.Config
+		want string
+	}{
+		{"default", gpuwalk.DefaultConfig(), "833475cef59911f475260100965c9135bab627645b55878b2ac6d56c00e222da"},
+		{"simt-aware/16 walkers", simt, "7f8414ce96d9ac69b4bcff3294346ccdea19afeaee7f6ac4ce4bc9cfe9c1d1ff"},
+	} {
+		if got := mustHash(t, tc.cfg); got != tc.want {
+			t.Errorf("%s: ConfigHash = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestConfigHashIgnoresLiveHandles: observability handles are runtime
 // objects, not run semantics; attaching them must not change the hash.
 func TestConfigHashIgnoresLiveHandles(t *testing.T) {
@@ -108,9 +130,10 @@ func TestConfigHashRejectsCustomScheduler(t *testing.T) {
 
 type sentinelScheduler struct{}
 
-func (sentinelScheduler) Name() string                                             { return "sentinel" }
-func (sentinelScheduler) OnArrival(r *gpuwalk.Request, pending []*gpuwalk.Request) {}
-func (sentinelScheduler) Select(pending []*gpuwalk.Request) int                    { return 0 }
+func (sentinelScheduler) Name() string           { return "sentinel" }
+func (sentinelScheduler) Admit(*gpuwalk.Request) {}
+func (sentinelScheduler) Pick() *gpuwalk.Request { return nil }
+func (sentinelScheduler) PendingLen() int        { return 0 }
 
 // FuzzConfigHash feeds arbitrary JSON through ParseConfig and checks
 // the hash is a pure, stable function of the parsed config: hashing

@@ -16,29 +16,41 @@ import (
 )
 
 // fewestPending services the instruction with the fewest pending
-// requests, oldest request first within it.
-type fewestPending struct{}
+// requests, oldest request first within it. A Scheduler owns its
+// pending requests: the simulator hands each one over with Admit, in
+// arrival order, and takes the next one to walk with Pick.
+type fewestPending struct {
+	pending []*gpuwalk.Request // arrival order
+	count   map[uint64]int     // pending requests per instruction
+}
 
-func (fewestPending) Name() string { return "fewest-pending" }
+func (f *fewestPending) Name() string { return "fewest-pending" }
 
-// OnArrival needs no bookkeeping: Select counts pending requests
-// directly from the buffer.
-func (fewestPending) OnArrival(*gpuwalk.Request, []*gpuwalk.Request) {}
-
-func (fewestPending) Select(pending []*gpuwalk.Request) int {
-	count := make(map[uint64]int, len(pending))
-	for _, r := range pending {
-		count[uint64(r.Instr)]++
+func (f *fewestPending) Admit(r *gpuwalk.Request) {
+	if f.count == nil {
+		f.count = make(map[uint64]int)
 	}
+	f.pending = append(f.pending, r)
+	f.count[uint64(r.Instr)]++
+}
+
+func (f *fewestPending) Pick() *gpuwalk.Request {
 	best := 0
-	for i := 1; i < len(pending); i++ {
-		ci, cb := count[uint64(pending[i].Instr)], count[uint64(pending[best].Instr)]
-		if ci < cb || (ci == cb && pending[i].Seq < pending[best].Seq) {
+	for i := 1; i < len(f.pending); i++ {
+		ci, cb := f.count[uint64(f.pending[i].Instr)], f.count[uint64(f.pending[best].Instr)]
+		if ci < cb || (ci == cb && f.pending[i].Seq < f.pending[best].Seq) {
 			best = i
 		}
 	}
-	return best
+	r := f.pending[best]
+	f.pending = append(f.pending[:best], f.pending[best+1:]...)
+	if f.count[uint64(r.Instr)]--; f.count[uint64(r.Instr)] == 0 {
+		delete(f.count, uint64(r.Instr))
+	}
+	return r
 }
+
+func (f *fewestPending) PendingLen() int { return len(f.pending) }
 
 func main() {
 	cfg := gpuwalk.DefaultConfig()
@@ -63,6 +75,6 @@ func main() {
 
 	fcfs := run("fcfs", gpuwalk.FCFS, nil)
 	run("simt-aware", gpuwalk.SIMTAware, nil)
-	custom := run("fewest-pending", "", fewestPending{})
+	custom := run("fewest-pending", "", &fewestPending{})
 	fmt.Printf("\nfewest-pending vs fcfs: %.2fx\n", gpuwalk.Speedup(fcfs, custom))
 }

@@ -43,7 +43,11 @@ var fig4Arrivals = []arrival{
 	{0x24 << 18, 2}, // B req 4
 }
 
-func run(sched core.Scheduler, tracePath string) ([]iommu.WalkRecord, map[core.InstrID]uint64) {
+func run(kind core.Kind, tracePath string) ([]iommu.WalkRecord, map[core.InstrID]uint64) {
+	sched, err := core.New(kind, core.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	eng := sim.NewEngine()
 	pm := mmu.NewPhysMem(1 << 30)
 	alloc := mmu.NewAllocator(pm, 7)
@@ -122,14 +126,10 @@ func main() {
 		simtTrace = *tracePrefix + "-simt.json"
 	}
 
-	fcfsLog, fcfsFinish := run(core.FCFS{}, fcfsTrace)
+	fcfsLog, fcfsFinish := run(core.KindFCFS, fcfsTrace)
 	render("FCFS (Figure 4a)", fcfsLog, fcfsFinish)
 
-	simt, err := core.New(core.KindSIMTAware, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	simtLog, simtFinish := run(simt, simtTrace)
+	simtLog, simtFinish := run(core.KindSIMTAware, simtTrace)
 	render("SIMT-aware (Figure 4b)", simtLog, simtFinish)
 
 	if simtFinish[1] < fcfsFinish[1] && simtFinish[2] <= fcfsFinish[2]+100 {

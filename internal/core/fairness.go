@@ -1,10 +1,15 @@
 package core
 
-// CUFair is an extension beyond the paper. Section VI/VII of the paper
-// points at memory-controller QoS research (ATLAS, TCM, PAR-BS, DASH)
-// and explicitly leaves "different flavors of page walk scheduling for
-// both performance and QoS" as follow-on work. CUFair is one such
-// flavor: it keeps the SIMT-aware scheduler's same-instruction batching
+import "sort"
+
+// KindCUFair names the fairness extension policy.
+const KindCUFair Kind = "cu-fair"
+
+// IndexedCUFair is the CU-fair policy, an extension beyond the paper.
+// Section VI/VII of the paper points at memory-controller QoS research
+// (ATLAS, TCM, PAR-BS, DASH) and explicitly leaves "different flavors
+// of page walk scheduling for both performance and QoS" as follow-on
+// work. CU-fair is one such flavor: it keeps the SIMT-aware scheduler's same-instruction batching
 // (which protects per-instruction completion) and shortest-job-first
 // scoring, but arbitrates *across compute units* round-robin, so a CU
 // whose wavefronts issue translation-light instructions cannot
@@ -17,138 +22,137 @@ package core
 //  3. fairness: the next CU after the last-served one (round-robin over
 //     CUs with pending requests), and within that CU the lowest-score
 //     request, oldest on ties.
-type CUFair struct {
+//
+// The index runs a (score, oldest-seq) min-heap per compute unit plus a
+// sorted active-CU set, so a pick is O(log n) instead of the
+// reference's three O(n) scans (reference_test.go).
+type IndexedCUFair struct {
 	AgingThreshold uint64
+
+	list       reqList
+	groups     map[InstrID]*instrGroup
+	lanes      map[int]*cuLane
+	active     []int // sorted CU ids with pending work
+	dispatches uint64
 
 	lastInstr    InstrID
 	haveLast     bool
 	lastCU       int
-	served       bool // lastCU is only meaningful after the first pick
+	served       bool
 	lastDecision Decision
 
-	// Stats.
+	// Stats, matching the reference CUFair field for field.
 	BatchHits  uint64
 	AgingPicks uint64
 	FairPicks  uint64
 }
 
-// KindCUFair names the fairness extension policy.
-const KindCUFair Kind = "cu-fair"
+// cuLane is one compute unit's slice of the pending buffer: a score
+// heap over that CU's instruction groups.
+type cuLane struct {
+	cu   int
+	heap groupHeap
+}
 
 // Name implements Scheduler.
-func (s *CUFair) Name() string { return string(KindCUFair) }
+func (s *IndexedCUFair) Name() string { return string(KindCUFair) }
 
-// OnArrival implements Scheduler with the same instruction-score
-// maintenance as SIMT-aware (action 1-b of Figure 7).
-func (s *CUFair) OnArrival(r *Request, pending []*Request) {
-	prev := 0
-	for _, p := range pending {
-		if p != r && p.Instr == r.Instr {
-			prev = p.Score
-			break
-		}
+// Admit implements Scheduler with the same score maintenance as
+// IndexedSIMT, on the issuing CU's lane.
+func (s *IndexedCUFair) Admit(r *Request) {
+	if s.groups == nil {
+		s.groups = make(map[InstrID]*instrGroup)
+		s.lanes = make(map[int]*cuLane)
 	}
-	score := prev + r.Est
-	for _, p := range pending {
-		if p.Instr == r.Instr {
-			p.Score = score
-		}
+	g := s.groups[r.Instr]
+	fresh := g == nil
+	if fresh {
+		g = &instrGroup{instr: r.Instr, cu: r.CU, hpos: -1}
+		s.groups[r.Instr] = g
+	}
+	g.score += r.Est
+	r.Score = g.score
+	g.push(r)
+	r.agingBase = s.dispatches + uint64(s.list.n)
+	s.list.pushBack(r)
+
+	lane := s.lanes[g.cu]
+	if lane == nil {
+		lane = &cuLane{cu: g.cu}
+		s.lanes[g.cu] = lane
+		i := sort.SearchInts(s.active, g.cu)
+		s.active = append(s.active, 0)
+		copy(s.active[i+1:], s.active[i:])
+		s.active[i] = g.cu
+	}
+	if fresh {
+		lane.heap.push(g)
+	} else {
+		lane.heap.fix(g)
 	}
 }
 
-// Select implements Scheduler.
-func (s *CUFair) Select(pending []*Request) int {
-	// 1. Starvation avoidance.
+// Pick implements Scheduler.
+func (s *IndexedCUFair) Pick() *Request {
+	// 1. Starvation avoidance (as IndexedSIMT).
 	if s.AgingThreshold > 0 {
-		best := -1
-		for i, p := range pending {
-			if p.passed >= s.AgingThreshold && (best == -1 || p.Seq < pending[best].Seq) {
-				best = i
-			}
-		}
-		if best >= 0 {
+		if h := s.list.head; h != nil && s.dispatches-h.agingBase >= s.AgingThreshold {
 			s.AgingPicks++
 			s.lastDecision = DecisionAging
-			return s.commit(pending, best)
+			return s.commit(h)
 		}
 	}
 
 	// 2. Batch integrity.
 	if s.haveLast {
-		best := -1
-		for i, p := range pending {
-			if p.Instr == s.lastInstr && (best == -1 || p.Seq < pending[best].Seq) {
-				best = i
-			}
-		}
-		if best >= 0 {
+		if g := s.groups[s.lastInstr]; g != nil {
 			s.BatchHits++
 			s.lastDecision = DecisionBatch
-			return s.commit(pending, best)
+			return s.commit(g.head)
 		}
 	}
 
-	// 3. Round-robin across CUs: the CU with the smallest index strictly
-	// greater than lastCU that has pending work, wrapping around.
-	cu := s.nextCU(pending)
-	best := -1
-	for i, p := range pending {
-		if p.CU != cu {
-			continue
-		}
-		if best == -1 {
-			best = i
-			continue
-		}
-		b := pending[best]
-		if p.Score < b.Score || (p.Score == b.Score && p.Seq < b.Seq) {
-			best = i
-		}
-	}
-	s.FairPicks++
-	s.lastDecision = DecisionFair
-	return s.commit(pending, best)
-}
-
-// LastDecision implements DecisionReporter.
-func (s *CUFair) LastDecision() Decision { return s.lastDecision }
-
-// nextCU picks the round-robin successor of lastCU among CUs that have
-// pending requests.
-func (s *CUFair) nextCU(pending []*Request) int {
+	// 3. Round-robin across CUs, lowest score (oldest on ties) within
+	// the winning CU.
 	last := s.lastCU
 	if !s.served {
 		last = -1
 	}
-	bestWrap, bestAbove := -1, -1
-	for _, p := range pending {
-		if p.CU > last {
-			if bestAbove == -1 || p.CU < bestAbove {
-				bestAbove = p.CU
-			}
-		} else if bestWrap == -1 || p.CU < bestWrap {
-			bestWrap = p.CU
-		}
+	i := sort.SearchInts(s.active, last+1)
+	if i == len(s.active) {
+		i = 0 // wrap to the smallest pending CU
 	}
-	if bestAbove >= 0 {
-		return bestAbove
-	}
-	return bestWrap
+	lane := s.lanes[s.active[i]]
+	s.FairPicks++
+	s.lastDecision = DecisionFair
+	return s.commit(lane.heap[0].head)
 }
 
-func (s *CUFair) commit(pending []*Request, idx int) int {
-	chosen := pending[idx]
-	s.lastInstr = chosen.Instr
-	s.haveLast = true
-	s.lastCU = chosen.CU
-	s.served = true
-	for _, p := range pending {
-		if p.Seq < chosen.Seq {
-			p.passed++
+// LastDecision implements DecisionReporter.
+func (s *IndexedCUFair) LastDecision() Decision { return s.lastDecision }
+
+func (s *IndexedCUFair) commit(r *Request) *Request {
+	s.lastInstr, s.haveLast = r.Instr, true
+	s.lastCU, s.served = r.CU, true
+	g := s.groups[r.Instr]
+	g.popHead()
+	g.score -= r.Est
+	s.list.remove(r)
+	s.dispatches++
+	lane := s.lanes[g.cu]
+	if g.count == 0 {
+		lane.heap.removeAt(g.hpos)
+		delete(s.groups, r.Instr)
+		if len(lane.heap) == 0 {
+			delete(s.lanes, g.cu)
+			i := sort.SearchInts(s.active, g.cu)
+			s.active = append(s.active[:i], s.active[i+1:]...)
 		}
-		if p.Instr == chosen.Instr && p != chosen {
-			p.Score -= chosen.Est
-		}
+	} else {
+		lane.heap.fix(g)
 	}
-	return idx
+	return r
 }
+
+// PendingLen implements Scheduler.
+func (s *IndexedCUFair) PendingLen() int { return s.list.n }

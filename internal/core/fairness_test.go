@@ -3,7 +3,7 @@ package core
 import "testing"
 
 // mkCUReq builds a pending buffer from (instr, cu, est) triples.
-func mkCUReq(s Scheduler, specs ...[3]int) []*Request {
+func mkCUReq(s linear, specs ...[3]int) []*Request {
 	var pending []*Request
 	for i, sp := range specs {
 		r := &Request{
@@ -92,17 +92,13 @@ func TestCUFairAging(t *testing.T) {
 	// Everything on one CU, so round-robin cannot rescue the heavy
 	// request; only aging can.
 	s := &CUFair{AgingThreshold: 2}
-	pending := mkCUReq(s, [3]int{1, 0, 4})
-	old := pending[0]
+	d := newRefDriver(s) // keeps the passed counts aging reads
+	old := &Request{Instr: 1, CU: 0, Seq: 1, Est: 4}
+	d.Admit(old)
 	old.Score = 1000
 	for i := 0; i < 4; i++ {
-		r := &Request{Instr: InstrID(50 + i), CU: 0, Seq: uint64(10 + i), Est: 1}
-		pending = append(pending, r)
-		s.OnArrival(r, pending)
-		idx := s.Select(pending)
-		chosen := pending[idx]
-		pending = append(pending[:idx], pending[idx+1:]...)
-		if chosen == old {
+		d.Admit(&Request{Instr: InstrID(50 + i), CU: 0, Seq: uint64(10 + i), Est: 1})
+		if chosen := d.Pick(); chosen == old {
 			if i < 2 {
 				t.Fatalf("heavy request selected before aging could fire (round %d)", i)
 			}

@@ -1,14 +1,10 @@
 package core
 
-import (
-	"fmt"
+import "gpuwalk/internal/xrand"
 
-	"gpuwalk/internal/xrand"
-)
-
-// This file implements the indexed pending buffer: the production
-// counterpart of the linear reference schedulers in scheduler.go and
-// fairness.go. Instead of scanning the whole buffer on every arrival,
+// This file implements the indexed pending buffer behind every
+// built-in policy. Where the linear reference policies
+// (reference_test.go) scan the whole buffer on every arrival,
 // selection and aging update — O(n) each, O(n²) per dispatch cycle —
 // the index groups pending requests into per-instruction FIFOs,
 // maintains a (score, oldest-seq) min-heap over the groups, and ages
@@ -21,67 +17,27 @@ import (
 //	aging rule            O(1)       arrival-list head vs. counter
 //	removal               O(log n)   unlink + heap fix
 //
-// # FIFO-admission contract
+// # What FIFO admission buys
 //
-// Admit must be called in strictly increasing Request.Seq order (the
-// IOMMU guarantees this: overflow requests are promoted FIFO and new
-// arrivals never jump the overflow queue). Two properties follow:
+// Scheduler's FIFO-admission contract has two consequences here:
 //
-//  1. The arrival list, every per-instruction FIFO, and the legacy
-//     buffer slice of the reference path all hold requests in the same
-//     (seq) order, so "oldest pending of X" is always a list head.
+//  1. The arrival list, every per-instruction FIFO, and the reference
+//     driver's buffer slice all hold requests in the same (seq) order,
+//     so "oldest pending of X" is always a list head.
 //
-//  2. Lazy aging is exact. The eager reference increments p.passed on
-//     every dispatch of a younger request. Under FIFO admission,
-//     passed is monotone non-increasing along arrival order (an older
-//     pending request has been admitted at least as long and every
-//     younger dispatch that passed its successor also passed it), so
-//     the set of requests over the aging threshold is always a prefix
-//     of the arrival list, and the reference rule "oldest request with
-//     passed >= threshold" fires exactly when the head does. For the
-//     head, passed equals dispatches-since-admission minus the
-//     then-pending (all older) requests, all of which have been
-//     dispatched by the time it is the head; stamping
-//     agingBase = dispatches + pendingLen at admission makes
-//     dispatches - agingBase the head's exact passed count.
-type IndexedScheduler interface {
-	Scheduler
-
-	// Admit adds r to the pending set (r.Est set by the caller; Seq
-	// strictly greater than every previous Admit).
-	Admit(r *Request)
-	// Pick removes and returns the next request to service. It must
-	// only be called when PendingLen() > 0.
-	Pick() *Request
-	// PendingLen returns the number of pending requests.
-	PendingLen() int
-}
-
-// NewIndexed constructs the indexed implementation of a built-in
-// policy. Every indexed scheduler dispatches in byte-identical order
-// to its linear reference (NewReference) counterpart.
-func NewIndexed(kind Kind, opt Options) (IndexedScheduler, error) {
-	aging := opt.AgingThreshold
-	if aging == 0 {
-		aging = DefaultAging
-	}
-	switch kind {
-	case KindFCFS:
-		return &IndexedFIFO{}, nil
-	case KindRandom:
-		return NewIndexedRandom(opt.Seed), nil
-	case KindSJF:
-		return &IndexedSIMT{SJF: true, AgingThreshold: aging, name: string(KindSJF)}, nil
-	case KindBatch:
-		return &IndexedSIMT{Batching: true, AgingThreshold: aging, name: string(KindBatch)}, nil
-	case KindSIMTAware:
-		return &IndexedSIMT{SJF: true, Batching: true, AgingThreshold: aging, name: string(KindSIMTAware)}, nil
-	case KindCUFair:
-		return &IndexedCUFair{AgingThreshold: aging}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler kind %q", kind)
-	}
-}
+//  2. Lazy aging is exact. The reference counts, eagerly, how many
+//     younger requests were dispatched past each pending request
+//     ("passed"). Under FIFO admission passed is monotone
+//     non-increasing along arrival order (an older pending request has
+//     been admitted at least as long and every younger dispatch that
+//     passed its successor also passed it), so the set of requests over
+//     the aging threshold is always a prefix of the arrival list, and
+//     the reference rule "oldest request with passed >= threshold"
+//     fires exactly when the head does. For the head, passed equals
+//     dispatches-since-admission minus the then-pending (all older)
+//     requests, all of which have been dispatched by the time it is the
+//     head; stamping agingBase = dispatches + pendingLen at admission
+//     makes dispatches - agingBase the head's exact passed count.
 
 // reqList is the arrival-ordered pending list (intrusive, doubly
 // linked through Request.aprev/anext).
@@ -235,28 +191,21 @@ type IndexedFIFO struct {
 // Name implements Scheduler.
 func (s *IndexedFIFO) Name() string { return string(KindFCFS) }
 
-// Admit implements IndexedScheduler.
+// Admit implements Scheduler.
 func (s *IndexedFIFO) Admit(r *Request) { s.list.pushBack(r) }
 
-// Pick implements IndexedScheduler: the oldest pending request.
+// Pick implements Scheduler: the oldest pending request.
 func (s *IndexedFIFO) Pick() *Request {
 	r := s.list.head
 	s.list.remove(r)
 	return r
 }
 
-// PendingLen implements IndexedScheduler.
+// PendingLen implements Scheduler.
 func (s *IndexedFIFO) PendingLen() int { return s.list.n }
 
 // LastDecision implements DecisionReporter: FCFS has only one rule.
 func (s *IndexedFIFO) LastDecision() Decision { return DecisionFCFS }
-
-// OnArrival implements Scheduler as a compatibility shim; the IOMMU
-// detects IndexedScheduler and calls Admit/Pick directly.
-func (s *IndexedFIFO) OnArrival(r *Request, _ []*Request) { s.Admit(r) }
-
-// Select implements Scheduler as a compatibility shim.
-func (s *IndexedFIFO) Select(pending []*Request) int { return shimSelect(s, pending) }
 
 // IndexedRandom is the indexed Random scheduler. Random is the paper's
 // strawman: it needs uniform selection by buffer position, for which a
@@ -274,10 +223,10 @@ func NewIndexedRandom(seed uint64) *IndexedRandom {
 // Name implements Scheduler.
 func (s *IndexedRandom) Name() string { return string(KindRandom) }
 
-// Admit implements IndexedScheduler.
+// Admit implements Scheduler.
 func (s *IndexedRandom) Admit(r *Request) { s.pending = append(s.pending, r) }
 
-// Pick implements IndexedScheduler: a uniformly random pending request,
+// Pick implements Scheduler: a uniformly random pending request,
 // drawing the same stream as the reference Random for a given seed.
 func (s *IndexedRandom) Pick() *Request {
 	i := s.rng.Intn(len(s.pending))
@@ -286,17 +235,11 @@ func (s *IndexedRandom) Pick() *Request {
 	return r
 }
 
-// PendingLen implements IndexedScheduler.
+// PendingLen implements Scheduler.
 func (s *IndexedRandom) PendingLen() int { return len(s.pending) }
 
 // LastDecision implements DecisionReporter.
 func (s *IndexedRandom) LastDecision() Decision { return DecisionRandom }
-
-// OnArrival implements Scheduler as a compatibility shim.
-func (s *IndexedRandom) OnArrival(r *Request, _ []*Request) { s.Admit(r) }
-
-// Select implements Scheduler as a compatibility shim.
-func (s *IndexedRandom) Select(pending []*Request) int { return shimSelect(s, pending) }
 
 // IndexedSIMT is the indexed implementation of the paper's scheduler
 // (and, with one rule disabled, of the sjf / batch ablations). It
@@ -334,7 +277,7 @@ func (s *IndexedSIMT) Name() string {
 	return string(KindSIMTAware)
 }
 
-// Admit implements IndexedScheduler (action 1-b): the new request's
+// Admit implements Scheduler (action 1-b): the new request's
 // estimate folds into its instruction's running score in O(log n).
 func (s *IndexedSIMT) Admit(r *Request) {
 	if s.groups == nil {
@@ -359,7 +302,7 @@ func (s *IndexedSIMT) Admit(r *Request) {
 	}
 }
 
-// Pick implements IndexedScheduler (action 2-a).
+// Pick implements Scheduler (action 2-a).
 func (s *IndexedSIMT) Pick() *Request {
 	// 1. Starvation avoidance: under FIFO admission the arrival-list
 	// head is always the first request to reach the threshold.
@@ -412,26 +355,5 @@ func (s *IndexedSIMT) commit(r *Request) *Request {
 	return r
 }
 
-// PendingLen implements IndexedScheduler.
+// PendingLen implements Scheduler.
 func (s *IndexedSIMT) PendingLen() int { return s.list.n }
-
-// OnArrival implements Scheduler as a compatibility shim.
-func (s *IndexedSIMT) OnArrival(r *Request, _ []*Request) { s.Admit(r) }
-
-// Select implements Scheduler as a compatibility shim.
-func (s *IndexedSIMT) Select(pending []*Request) int { return shimSelect(s, pending) }
-
-// shimSelect adapts Pick to the legacy index-returning Select for
-// callers that drive an indexed scheduler through the slice interface.
-// The caller's slice must mirror the index (append on OnArrival,
-// order-preserving removal of the selected entry), as the IOMMU's
-// reference path does.
-func shimSelect(s IndexedScheduler, pending []*Request) int {
-	r := s.Pick()
-	for i, p := range pending {
-		if p == r {
-			return i
-		}
-	}
-	panic("core: indexed scheduler diverged from the caller's pending slice")
-}

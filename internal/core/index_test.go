@@ -6,26 +6,6 @@ import (
 	"gpuwalk/internal/xrand"
 )
 
-// refDriver drives a reference (linear) scheduler the way the IOMMU's
-// legacy path does: append on arrival, order-preserving splice on
-// select.
-type refDriver struct {
-	s       Scheduler
-	pending []*Request
-}
-
-func (d *refDriver) admit(r *Request) {
-	d.pending = append(d.pending, r)
-	d.s.OnArrival(r, d.pending)
-}
-
-func (d *refDriver) pick() *Request {
-	i := d.s.Select(d.pending)
-	r := d.pending[i]
-	d.pending = append(d.pending[:i], d.pending[i+1:]...)
-	return r
-}
-
 // diffOptions are the construction variants the differential suite
 // exercises: frequent aging, effectively-disabled aging.
 func diffOptions() []Options {
@@ -51,15 +31,11 @@ func TestDifferentialIndexedVsReference(t *testing.T) {
 
 func testDifferentialStream(t *testing.T, kind Kind, opt Options, seed uint64) {
 	t.Helper()
-	refSched, err := NewReference(kind, opt)
+	ref := NewReference(kind, opt)
+	ix, err := New(kind, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := NewIndexed(kind, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := &refDriver{s: refSched}
 
 	rng := xrand.New(seed)
 	seq := uint64(0)
@@ -88,12 +64,12 @@ func testDifferentialStream(t *testing.T, kind Kind, opt Options, seed uint64) {
 		arrive := pendingN == 0 || rng.Uint64n(100) < 55
 		if arrive {
 			a, b := mk()
-			ref.admit(a)
+			ref.Admit(a)
 			ix.Admit(b)
 			pendingN++
 			continue
 		}
-		got, want := ix.Pick(), ref.pick()
+		got, want := ix.Pick(), ref.Pick()
 		if got.Seq != want.Seq {
 			t.Fatalf("%s opt=%+v seed=%d step %d: indexed picked seq %d, reference picked seq %d",
 				kind, opt, seed, i, got.Seq, want.Seq)
@@ -103,7 +79,7 @@ func testDifferentialStream(t *testing.T, kind Kind, opt Options, seed uint64) {
 	// Drain completely: tail-end behaviour (groups emptying, CUs
 	// leaving the round-robin) must match too.
 	for pendingN > 0 {
-		got, want := ix.Pick(), ref.pick()
+		got, want := ix.Pick(), ref.Pick()
 		if got.Seq != want.Seq {
 			t.Fatalf("%s opt=%+v seed=%d drain: indexed picked seq %d, reference picked seq %d",
 				kind, opt, seed, got.Seq, want.Seq)
@@ -120,9 +96,8 @@ func testDifferentialStream(t *testing.T, kind Kind, opt Options, seed uint64) {
 // dispatch order.
 func TestDifferentialStats(t *testing.T) {
 	opt := Options{AgingThreshold: 8}
-	refSched, _ := NewReference(KindSIMTAware, opt)
-	ixSched, _ := NewIndexed(KindSIMTAware, opt)
-	ref := &refDriver{s: refSched}
+	ref := NewReference(KindSIMTAware, opt)
+	ixSched, _ := New(KindSIMTAware, opt)
 	ix := ixSched.(*IndexedSIMT)
 
 	rng := xrand.New(99)
@@ -134,16 +109,16 @@ func TestDifferentialStats(t *testing.T) {
 			r := Request{Instr: InstrID(seq / 5), Seq: seq, Est: 1 + int(rng.Uint64n(4))}
 			a, b := new(Request), new(Request)
 			*a, *b = r, r
-			ref.admit(a)
+			ref.Admit(a)
 			ix.Admit(b)
 			pendingN++
 		} else {
 			ix.Pick()
-			ref.pick()
+			ref.Pick()
 			pendingN--
 		}
 	}
-	rs := refSched.(*SIMTAware)
+	rs := ref.(*refDriver).s.(*SIMTAware)
 	if rs.AgingPicks == 0 || rs.BatchHits == 0 || rs.SJFPicks == 0 {
 		t.Fatalf("reference stream did not exercise all rules: %+v", rs)
 	}
@@ -160,11 +135,10 @@ func TestDifferentialStats(t *testing.T) {
 // exactly the same pick as the reference's eager passed counters.
 func TestLazyAgingFiresWithEager(t *testing.T) {
 	const threshold = 3
-	refSched, _ := NewReference(KindSIMTAware, Options{AgingThreshold: threshold})
-	ixSched, _ := NewIndexed(KindSIMTAware, Options{AgingThreshold: threshold})
-	ref := &refDriver{s: refSched}
+	ref := NewReference(KindSIMTAware, Options{AgingThreshold: threshold})
+	ixSched, _ := New(KindSIMTAware, Options{AgingThreshold: threshold})
 	ix := ixSched.(*IndexedSIMT)
-	rs := refSched.(*SIMTAware)
+	rs := ref.(*refDriver).s.(*SIMTAware)
 
 	// One heavy old request, then a stream of light strangers: every
 	// pick passes the old request until aging rescues it.
@@ -174,7 +148,7 @@ func TestLazyAgingFiresWithEager(t *testing.T) {
 		r := Request{Instr: instr, Seq: seq, Est: est}
 		a, b := new(Request), new(Request)
 		*a, *b = r, r
-		ref.admit(a)
+		ref.Admit(a)
 		ix.Admit(b)
 	}
 	admitBoth(1, 4)
@@ -182,7 +156,7 @@ func TestLazyAgingFiresWithEager(t *testing.T) {
 
 	for round := 0; round < 10; round++ {
 		admitBoth(InstrID(100+round), 1)
-		got, want := ix.Pick(), ref.pick()
+		got, want := ix.Pick(), ref.Pick()
 		if got.Seq != want.Seq {
 			t.Fatalf("round %d: indexed picked seq %d, reference seq %d", round, got.Seq, want.Seq)
 		}
@@ -232,42 +206,41 @@ func TestCUFairCommitDecrementsSurvivorScore(t *testing.T) {
 	}
 }
 
-// TestIndexedShimSelect exercises the legacy OnArrival/Select shim on
-// an indexed scheduler driven through a caller-owned slice.
-func TestIndexedShimSelect(t *testing.T) {
+// TestIndexedDrainOrder drains a small SJF + batching scenario through
+// the scheduler New returns.
+func TestIndexedDrainOrder(t *testing.T) {
 	s, err := New(KindSIMTAware, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.(IndexedScheduler); !ok {
-		t.Fatal("New should return an indexed scheduler by default")
+	if _, ok := s.(*IndexedSIMT); !ok {
+		t.Fatalf("New returned %T, want the indexed *IndexedSIMT", s)
 	}
-	pending := mkreq(s, [2]int{1, 4}, [2]int{1, 4}, [2]int{2, 1})
-	order := drain(s, pending)
+	for i, sp := range [][2]int{{1, 4}, {1, 4}, {2, 1}} {
+		s.Admit(&Request{Instr: InstrID(sp[0]), Seq: uint64(i + 1), Est: sp[1]})
+	}
+	var order []InstrID
+	for s.PendingLen() > 0 {
+		order = append(order, s.Pick().Instr)
+	}
 	want := []InstrID{2, 1, 1} // SJF picks the light 2, batching sticks with 1
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("shim drain order = %v, want %v", order, want)
+			t.Fatalf("drain order = %v, want %v", order, want)
 		}
 	}
 }
 
-// TestNewReferenceKinds mirrors TestNewKinds for the reference
-// constructor and the Options.Reference switch.
+// TestNewReferenceKinds checks the reference oracle covers every
+// built-in kind under the same name as the production scheduler.
 func TestNewReferenceKinds(t *testing.T) {
 	for _, k := range Kinds() {
-		s, err := New(k, Options{Seed: 1, Reference: true})
-		if err != nil {
-			t.Fatalf("New(%s, Reference): %v", k, err)
-		}
-		if _, ok := s.(IndexedScheduler); ok {
-			t.Errorf("New(%s, Reference) returned an indexed scheduler", k)
+		s := NewReference(k, Options{Seed: 1})
+		if _, ok := s.(*refDriver); !ok {
+			t.Errorf("NewReference(%s) returned %T, want the linear driver", k, s)
 		}
 		if s.Name() != string(k) {
 			t.Errorf("Name = %q, want %q", s.Name(), k)
 		}
-	}
-	if _, err := NewIndexed("bogus", Options{}); err == nil {
-		t.Error("unknown indexed kind did not error")
 	}
 }

@@ -6,7 +6,7 @@ import (
 
 // mkreq builds a pending buffer from (instr, est) pairs, assigning
 // arrival sequence numbers in order and running OnArrival scoring.
-func mkreq(s Scheduler, specs ...[2]int) []*Request {
+func mkreq(s linear, specs ...[2]int) []*Request {
 	var pending []*Request
 	for i, sp := range specs {
 		r := &Request{
@@ -23,7 +23,7 @@ func mkreq(s Scheduler, specs ...[2]int) []*Request {
 
 // drain repeatedly selects until the buffer empties, returning the
 // instruction IDs in service order.
-func drain(s Scheduler, pending []*Request) []InstrID {
+func drain(s linear, pending []*Request) []InstrID {
 	var order []InstrID
 	for len(pending) > 0 {
 		i := s.Select(pending)
@@ -186,20 +186,15 @@ func TestSIMTAwareBatchOldestFirst(t *testing.T) {
 
 func TestAgingForcesStarvedRequest(t *testing.T) {
 	s := &SIMTAware{SJF: true, AgingThreshold: 3}
+	d := newRefDriver(s) // keeps the passed counts aging reads
 	// One heavy old request and a stream of fresh light ones.
 	old := &Request{Instr: 1, Seq: 1, Est: 4, Score: 100}
-	pending := []*Request{old}
-	s.OnArrival(old, pending)
+	d.Admit(old)
 	old.Score = 100 // force heavy
 
 	for i := 0; i < 5; i++ {
-		r := &Request{Instr: InstrID(10 + i), Seq: uint64(2 + i), Est: 1}
-		pending = append(pending, r)
-		s.OnArrival(r, pending)
-		idx := s.Select(pending)
-		chosen := pending[idx]
-		pending = append(pending[:idx], pending[idx+1:]...)
-		if chosen == old {
+		d.Admit(&Request{Instr: InstrID(10 + i), Seq: uint64(2 + i), Est: 1})
+		if chosen := d.Pick(); chosen == old {
 			if i < 3 {
 				t.Fatalf("aged request selected too early (round %d)", i)
 			}
@@ -249,7 +244,7 @@ func TestBatchingTimeline(t *testing.T) {
 	// Interleaved arrivals: A B B A B B A B (A=3 requests, B=5).
 	arrivals := []int{1, 2, 2, 1, 2, 2, 1, 2}
 
-	build := func(s Scheduler) []*Request {
+	build := func(s linear) []*Request {
 		var pending []*Request
 		for i, instr := range arrivals {
 			r := &Request{Instr: InstrID(instr), Seq: uint64(i + 1), Est: 1}

@@ -116,13 +116,6 @@ type Params struct {
 	// ProgressEvery is the publication period in cycles (0 uses
 	// DefaultProgressEvery).
 	ProgressEvery uint64
-
-	// ReferenceEngine runs the simulation on the retained container/heap
-	// event queue instead of the flat four-ary heap. The two dispatch in
-	// byte-identical order (the differential tests pin this); the switch
-	// exists so those tests and the BENCH_sim benchmark can compare the
-	// queues through a full system run.
-	ReferenceEngine bool
 }
 
 // Progress is a point-in-time snapshot of a run's forward motion, for
@@ -182,9 +175,6 @@ func NewSystem(p Params, tr *workload.Trace) (*System, error) {
 	}
 
 	eng := sim.NewEngine()
-	if p.ReferenceEngine {
-		eng = sim.NewReferenceEngine()
-	}
 	s := &System{
 		cfg:   p.GPU,
 		eng:   eng,

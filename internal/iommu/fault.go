@@ -240,8 +240,8 @@ func (io *IOMMU) serviceDone(r *core.Request) {
 }
 
 // retryWalk re-enters a faulted or killed request into the translation
-// pipeline. It takes a fresh arrival sequence — the indexed
-// schedulers' FIFO-admission contract (core/index.go) requires
+// pipeline. It takes a fresh arrival sequence — the scheduler's
+// FIFO-admission contract (core.Scheduler) requires
 // monotone admission order, so a retry rejoins at the back of the
 // arrival order — but keeps the original Arrive cycle so walk-latency
 // statistics include the fault round trip. PWC protection counters

@@ -85,8 +85,8 @@ type Config struct {
 	// window. 0 (default) keeps it unbounded, the historical behaviour.
 	// When bounded, an arrival that finds the queue full is NACKed and
 	// retried with exponential backoff (PRI-style backpressure); the
-	// retry re-stamps its arrival sequence, preserving the indexed
-	// schedulers' FIFO-admission contract.
+	// retry re-stamps its arrival sequence, preserving the scheduler's
+	// FIFO-admission contract.
 	OverflowEntries int
 
 	// Faults configures the OS page-fault service model (see fault.go).
@@ -245,14 +245,9 @@ type IOMMU struct {
 	l1 *tlb.TLB
 	l2 *tlb.TLB
 
-	// The pending-walk buffer lives in one of two places: when the
-	// scheduler implements core.IndexedScheduler (the production
-	// default) it owns the pending set itself (ix non-nil, buffer
-	// unused); otherwise the legacy slice path drives the scheduler
-	// through OnArrival/Select scans.
-	ix       core.IndexedScheduler
-	buffer   []*core.Request
-	preQueue []*core.Request // overflow beyond the scheduler window, FIFO
+	// The scheduler owns the pending-walk buffer; preQueue holds the
+	// overflow beyond its window.
+	preQueue []*core.Request // FIFO
 	// bufVPNs / preVPNs count pending requests per VPN in the buffer
 	// and the overflow queue, so MergeSameVPN coalesces in O(1) instead
 	// of scanning; maintained only when merging is enabled.
@@ -347,9 +342,6 @@ func New(eng *sim.Engine, cfg Config, sched core.Scheduler, pt *mmu.PageTable, d
 		walkStart:    make(map[*core.Request]walkSlot),
 		faultSince:   make(map[*core.Request]sim.Cycle),
 	}
-	if ix, ok := sched.(core.IndexedScheduler); ok {
-		io.ix = ix
-	}
 	io.fixedLat = cfg.WalkerFixedLat
 	if io.fixedLat == 0 {
 		io.fixedLat = DefaultWalkerFixedLat
@@ -423,12 +415,7 @@ func (io *IOMMU) Pending() int { return io.buffered() + len(io.preQueue) }
 func (io *IOMMU) IdleWalkers() int { return io.idleWalkers }
 
 // buffered returns the scheduler-visible pending count.
-func (io *IOMMU) buffered() int {
-	if io.ix != nil {
-		return io.ix.PendingLen()
-	}
-	return len(io.buffer)
-}
+func (io *IOMMU) buffered() int { return io.sched.PendingLen() }
 
 // ScheduleLog returns the recorded walk schedule (requires
 // Config.RecordSchedule).
@@ -507,8 +494,8 @@ func (io *IOMMU) enqueueRequest(r *core.Request, attempt int) {
 	// Admission is strictly FIFO: while older requests wait in the
 	// overflow queue, a new arrival may not jump into the buffer even
 	// if a slot is free. This keeps the scheduler-visible buffer in
-	// arrival order, which the indexed schedulers' lazy aging relies
-	// on (see core/index.go).
+	// arrival order, as core.Scheduler's FIFO-admission contract
+	// requires.
 	if len(io.preQueue) == 0 && io.buffered() < io.cfg.BufferEntries {
 		io.admit(r)
 		return
@@ -522,8 +509,8 @@ func (io *IOMMU) enqueueRequest(r *core.Request, attempt int) {
 		}
 		io.eng.After(io.backoff(attempt), func() {
 			// Re-stamp the arrival sequence: other requests were
-			// admitted during the backoff, and the indexed schedulers
-			// require monotone admission order.
+			// admitted during the backoff, and the scheduler requires
+			// monotone admission order.
 			io.seq++
 			r.Seq = io.seq
 			io.enqueueRequest(r, attempt+1)
@@ -585,12 +572,7 @@ func (io *IOMMU) admit(r *core.Request) {
 	if io.cfg.MergeSameVPN {
 		io.bufVPNs[r.VPN]++
 	}
-	if io.ix != nil {
-		io.ix.Admit(r)
-	} else {
-		io.buffer = append(io.buffer, r)
-		io.sched.OnArrival(r, io.buffer)
-	}
+	io.sched.Admit(r)
 	if n := io.buffered(); n > io.stats.BufferPeak {
 		io.stats.BufferPeak = n
 	}
@@ -603,18 +585,10 @@ func (io *IOMMU) admit(r *core.Request) {
 	}
 }
 
-// nextWalk asks the scheduler for the next request and removes it from
-// the pending buffer: O(log n) on the indexed path, the reference
-// O(n) slice splice otherwise.
+// nextWalk asks the scheduler for the next request, which leaves its
+// pending buffer.
 func (io *IOMMU) nextWalk() *core.Request {
-	var r *core.Request
-	if io.ix != nil {
-		r = io.ix.Pick()
-	} else {
-		idx := io.sched.Select(io.buffer)
-		r = io.buffer[idx]
-		io.buffer = append(io.buffer[:idx], io.buffer[idx+1:]...)
-	}
+	r := io.sched.Pick()
 	if io.cfg.MergeSameVPN {
 		if n := io.bufVPNs[r.VPN]; n <= 1 {
 			delete(io.bufVPNs, r.VPN)

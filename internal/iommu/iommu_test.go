@@ -32,6 +32,17 @@ func testConfig() Config {
 	}
 }
 
+// newSched builds a built-in scheduler with core.New, as the simulator
+// does.
+func newSched(t *testing.T, kind core.Kind, opt core.Options) core.Scheduler {
+	t.Helper()
+	s, err := core.New(kind, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func newRig(t *testing.T, cfg Config, sched core.Scheduler) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -69,7 +80,7 @@ func (r *rig) translate(vpn uint64, instr core.InstrID) *uint64 {
 }
 
 func TestWalkProducesCorrectTranslation(t *testing.T) {
-	r := newRig(t, testConfig(), core.FCFS{})
+	r := newRig(t, testConfig(), newSched(t, core.KindFCFS, core.Options{}))
 	r.mapPage(t, 0x42)
 	want, _ := r.as.PT.Translate(0x42)
 	got := r.translate(0x42, 1)
@@ -91,7 +102,7 @@ func TestWalkProducesCorrectTranslation(t *testing.T) {
 }
 
 func TestPWCShortensSecondWalk(t *testing.T) {
-	r := newRig(t, testConfig(), core.FCFS{})
+	r := newRig(t, testConfig(), newSched(t, core.KindFCFS, core.Options{}))
 	r.mapPage(t, 0x100)
 	r.mapPage(t, 0x101) // same 2MB region: shares upper levels
 	r.translate(0x100, 1)
@@ -109,7 +120,7 @@ func TestPWCShortensSecondWalk(t *testing.T) {
 }
 
 func TestIOMMUTLBHitSkipsWalk(t *testing.T) {
-	r := newRig(t, testConfig(), core.FCFS{})
+	r := newRig(t, testConfig(), newSched(t, core.KindFCFS, core.Options{}))
 	r.mapPage(t, 0x55)
 	r.translate(0x55, 1)
 	r.eng.Run()
@@ -130,7 +141,7 @@ func TestIOMMUTLBHitSkipsWalk(t *testing.T) {
 func TestWalkerConcurrencyBounded(t *testing.T) {
 	cfg := testConfig()
 	cfg.Walkers = 2
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, newSched(t, core.KindFCFS, core.Options{}))
 	for vpn := uint64(0); vpn < 6; vpn++ {
 		r.mapPage(t, vpn<<18) // far apart: no PWC sharing
 		r.translate(vpn<<18, core.InstrID(vpn))
@@ -151,7 +162,7 @@ func TestBufferOverflowPromotesFIFO(t *testing.T) {
 	cfg := testConfig()
 	cfg.BufferEntries = 2
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, newSched(t, core.KindFCFS, core.Options{}))
 	var order []uint64
 	for i := uint64(0); i < 8; i++ {
 		vpn := i << 18
@@ -181,7 +192,7 @@ func TestMergeSameVPN(t *testing.T) {
 	cfg := testConfig()
 	cfg.MergeSameVPN = true
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, newSched(t, core.KindFCFS, core.Options{}))
 	r.mapPage(t, 0x9)
 	r.mapPage(t, 0x9000>>0) // a second page to occupy the walker
 	r.mapPage(t, 0x77<<18)
@@ -206,7 +217,7 @@ func TestMergeSameVPN(t *testing.T) {
 func TestNoMergeWalksTwice(t *testing.T) {
 	cfg := testConfig()
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, newSched(t, core.KindFCFS, core.Options{}))
 	r.mapPage(t, 0x9)
 	r.mapPage(t, 0x77<<18)
 	r.translate(0x77<<18, 1)
@@ -221,7 +232,7 @@ func TestNoMergeWalksTwice(t *testing.T) {
 func TestInstrSummaryInterleaving(t *testing.T) {
 	cfg := testConfig()
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, newSched(t, core.KindFCFS, core.Options{}))
 	// Interleave arrivals of instructions 1 and 2 (two walks each) while
 	// the walker is busy with a filler walk.
 	vpns := []struct {
@@ -272,8 +283,8 @@ func TestBatchingReducesInterleave(t *testing.T) {
 		r.eng.Run()
 		return r.io.InstrSummary()
 	}
-	fcfs := run(core.FCFS{})
-	batch := run(&core.SIMTAware{Batching: true, SJF: true, AgingThreshold: 1 << 30})
+	fcfs := run(newSched(t, core.KindFCFS, core.Options{}))
+	batch := run(newSched(t, core.KindSIMTAware, core.Options{AgingThreshold: 1 << 30}))
 	if batch.Interleaved >= fcfs.Interleaved {
 		t.Errorf("batching interleave %d not below FCFS %d", batch.Interleaved, fcfs.Interleaved)
 	}
@@ -299,7 +310,7 @@ func TestValidateErrors(t *testing.T) {
 }
 
 func TestWalkLatencyAccounting(t *testing.T) {
-	r := newRig(t, testConfig(), core.FCFS{})
+	r := newRig(t, testConfig(), newSched(t, core.KindFCFS, core.Options{}))
 	r.mapPage(t, 0x5)
 	r.translate(0x5, 1)
 	r.eng.Run()
@@ -319,7 +330,7 @@ func TestWalkLatencyAccounting(t *testing.T) {
 func TestPrefetchNext(t *testing.T) {
 	cfg := testConfig()
 	cfg.PrefetchNext = true
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, newSched(t, core.KindFCFS, core.Options{}))
 	// Map two adjacent far-apart-from-others pages; walking the first
 	// should prefetch the second once the IOMMU idles.
 	r.mapPage(t, 0x700)
@@ -349,7 +360,7 @@ func TestPrefetchNext(t *testing.T) {
 func TestPrefetchSkipsUnmapped(t *testing.T) {
 	cfg := testConfig()
 	cfg.PrefetchNext = true
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, newSched(t, core.KindFCFS, core.Options{}))
 	r.mapPage(t, 0x900) // 0x901 left unmapped
 	r.translate(0x900, 1)
 	r.eng.Run()
@@ -361,7 +372,7 @@ func TestPrefetchSkipsUnmapped(t *testing.T) {
 func TestPrefetchDoesNotCascade(t *testing.T) {
 	cfg := testConfig()
 	cfg.PrefetchNext = true
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, newSched(t, core.KindFCFS, core.Options{}))
 	// A long run of mapped pages: one demand walk must trigger at most
 	// one prefetch (no chain).
 	for v := uint64(0xa00); v < 0xa10; v++ {
@@ -375,7 +386,7 @@ func TestPrefetchDoesNotCascade(t *testing.T) {
 }
 
 func TestPrefetchOffByDefault(t *testing.T) {
-	r := newRig(t, testConfig(), core.FCFS{})
+	r := newRig(t, testConfig(), newSched(t, core.KindFCFS, core.Options{}))
 	r.mapPage(t, 0xb00)
 	r.mapPage(t, 0xb01)
 	r.translate(0xb00, 1)
@@ -394,7 +405,7 @@ func TestMergeAcrossOverflowQueue(t *testing.T) {
 	cfg.MergeSameVPN = true
 	cfg.BufferEntries = 1
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, newSched(t, core.KindFCFS, core.Options{}))
 	vpns := []uint64{0x1 << 18, 0x2 << 18, 0x3 << 18}
 	for _, v := range vpns {
 		r.mapPage(t, v)
@@ -427,7 +438,7 @@ func TestOverflowAdmissionStrictFIFO(t *testing.T) {
 	cfg := testConfig()
 	cfg.BufferEntries = 2
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, newSched(t, core.KindFCFS, core.Options{}))
 	var order []uint64
 	issue := func(i uint64) {
 		vpn := (i + 1) << 18
@@ -462,21 +473,14 @@ func TestOverflowAdmissionStrictFIFO(t *testing.T) {
 	}
 }
 
-// TestIndexedSchedulerPath runs the IOMMU with a production indexed
-// scheduler (the core.New default) and checks the indexed buffer
-// bookkeeping end to end.
+// TestIndexedSchedulerPath runs the IOMMU with the indexed SIMT-aware
+// scheduler and checks the buffer bookkeeping end to end through a
+// window small enough to overflow.
 func TestIndexedSchedulerPath(t *testing.T) {
-	sched, err := core.New(core.KindSIMTAware, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sched.(core.IndexedScheduler); !ok {
-		t.Fatal("core.New default is not indexed")
-	}
 	cfg := testConfig()
 	cfg.BufferEntries = 4
 	cfg.Walkers = 2
-	r := newRig(t, cfg, sched)
+	r := newRig(t, cfg, newSched(t, core.KindSIMTAware, core.Options{}))
 	for i := uint64(0); i < 12; i++ {
 		vpn := (i + 1) << 18
 		r.mapPage(t, vpn)

@@ -1,15 +1,16 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // This file is the ordering-equivalence property test for the flat
-// four-ary event queue: an Engine and a NewReferenceEngine (the
-// retained container/heap implementation) are driven through the same
-// randomized program of At/After/AfterDaemon/Abort operations —
+// four-ary event queue: an Engine and a heapEngine (the container/heap
+// engine it replaced, kept here as the oracle) are driven through the
+// same randomized program of At/After/AfterDaemon/Abort operations —
 // including callbacks that schedule more events and partial RunFor
 // stepping — and must dispatch the exact same (id, cycle, dispatch
 // index) sequence and end in the same clock/pending/dispatched state.
@@ -19,6 +20,117 @@ import (
 // time, so both engines are handed literally the same program; any
 // divergence in the logs is therefore a queue-ordering bug, not test
 // contamination.
+
+// orderEngine is the surface the ordering tests drive; *Engine and
+// the heapEngine oracle both implement it.
+type orderEngine interface {
+	Now() Cycle
+	Dispatched() uint64
+	Pending() int
+	At(c Cycle, fn func())
+	After(d uint64, fn func())
+	AfterDaemon(d uint64, fn func())
+	Abort()
+	RunFor(n uint64) uint64
+	Run() Cycle
+}
+
+// eventHeap is a binary min-heap of events for container/heap, ordered
+// by (at, seq). It spells the order out rather than calling
+// event.before, so a fault there cannot hide in both engines.
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(event)) }
+
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = event{} // release fn for GC
+	*h = old[:n-1]
+	return e
+}
+
+// heapEngine is the engine before the flat queue: the same scheduling,
+// daemon and abort rules as Engine on a container/heap queue.
+type heapEngine struct {
+	now        Cycle
+	seq        uint64
+	events     eventHeap
+	dispatched uint64
+	aborted    bool
+	daemons    int
+}
+
+func (e *heapEngine) Now() Cycle         { return e.now }
+func (e *heapEngine) Dispatched() uint64 { return e.dispatched }
+func (e *heapEngine) Pending() int       { return len(e.events) - e.daemons }
+func (e *heapEngine) Abort()             { e.aborted = true }
+
+func (e *heapEngine) At(c Cycle, fn func()) {
+	if c < e.now {
+		panic("sim: event scheduled in the past")
+	}
+	e.seq++
+	heap.Push(&e.events, event{at: c, seq: e.seq, fn: fn})
+}
+
+func (e *heapEngine) After(d uint64, fn func()) {
+	c := e.now + Cycle(d)
+	if c < e.now {
+		panic("sim: event cycle overflow")
+	}
+	e.At(c, fn)
+}
+
+func (e *heapEngine) AfterDaemon(d uint64, fn func()) {
+	c := e.now + Cycle(d)
+	if c < e.now {
+		panic("sim: daemon event cycle overflow")
+	}
+	e.seq++
+	heap.Push(&e.events, event{at: c, seq: e.seq, fn: fn, daemon: true})
+	e.daemons++
+}
+
+func (e *heapEngine) step() bool {
+	if e.aborted || len(e.events) == e.daemons {
+		return false
+	}
+	ev := heap.Pop(&e.events).(event)
+	if ev.daemon {
+		e.daemons--
+	}
+	e.now = ev.at
+	e.dispatched++
+	ev.fn()
+	return true
+}
+
+func (e *heapEngine) RunFor(n uint64) uint64 {
+	var done uint64
+	for done < n && e.step() {
+		done++
+	}
+	return done
+}
+
+func (e *heapEngine) Run() Cycle {
+	for e.step() {
+	}
+	return e.now
+}
 
 // opKind is one scripted top-level operation.
 type opKind uint8
@@ -65,7 +177,7 @@ func (l *engineLog) note(id int, now Cycle, dispatchIx uint64) {
 
 // runScript drives eng through the script, wiring every event plan to
 // the log, and returns the log plus final engine state.
-func runScript(eng *Engine, script []scriptOp, plans []eventPlan) (*engineLog, Cycle, int, uint64) {
+func runScript(eng orderEngine, script []scriptOp, plans []eventPlan) (*engineLog, Cycle, int, uint64) {
 	log := &engineLog{}
 	var install func(p eventPlan) func()
 	install = func(p eventPlan) func() {
@@ -140,12 +252,12 @@ func genProgram(rng *rand.Rand) ([]scriptOp, []eventPlan) {
 }
 
 // TestEngineOrderProperty is the property test: across many seeds, the
-// flat queue and the container/heap reference dispatch identically.
+// flat queue and the container/heap oracle dispatch identically.
 func TestEngineOrderProperty(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		script, plans := genProgram(rand.New(rand.NewSource(seed)))
 		flatLog, flatNow, flatPend, flatDisp := runScript(NewEngine(), script, plans)
-		refLog, refNow, refPend, refDisp := runScript(NewReferenceEngine(), script, plans)
+		refLog, refNow, refPend, refDisp := runScript(&heapEngine{}, script, plans)
 		if flatNow != refNow || flatPend != refPend || flatDisp != refDisp {
 			t.Fatalf("seed %d: final state (now=%d pend=%d disp=%d) vs reference (now=%d pend=%d disp=%d)",
 				seed, flatNow, flatPend, flatDisp, refNow, refPend, refDisp)
@@ -189,7 +301,7 @@ func FuzzEngineOrder(f *testing.F) {
 			script = append(script, op)
 		}
 		flatLog, flatNow, _, _ := runScript(NewEngine(), script, plans)
-		refLog, refNow, _, _ := runScript(NewReferenceEngine(), script, plans)
+		refLog, refNow, _, _ := runScript(&heapEngine{}, script, plans)
 		if flatNow != refNow || len(flatLog.lines) != len(refLog.lines) {
 			t.Fatalf("state diverged: now %d vs %d, %d vs %d dispatches",
 				flatNow, refNow, len(flatLog.lines), len(refLog.lines))

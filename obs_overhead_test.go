@@ -20,18 +20,14 @@ var benchTracer = func() *obs.Tracer {
 	return nil
 }()
 
-// admitPickLoop mirrors the IOMMU scheduling hot path — indexed
-// Admit then Pick once the lookahead window fills — optionally with the
+// admitPickLoop mirrors the IOMMU scheduling hot path — Admit then
+// Pick once the lookahead window fills — optionally with the
 // nil-tracer guards that instrumented builds place at the admit and
 // dispatch sites.
 func admitPickLoop(b *testing.B, hooked bool) {
 	sched, err := core.New(core.KindSIMTAware, core.Options{AgingThreshold: 64})
 	if err != nil {
 		b.Fatal(err)
-	}
-	ix, ok := sched.(core.IndexedScheduler)
-	if !ok {
-		b.Fatalf("%s is not indexed", sched.Name())
 	}
 	var trk obs.Track
 	reqs := make([]core.Request, 256)
@@ -46,14 +42,14 @@ func admitPickLoop(b *testing.B, hooked bool) {
 			Seq:   uint64(i),
 			Est:   1 + i%4,
 		}
-		ix.Admit(r)
+		sched.Admit(r)
 		if hooked {
 			if tr := benchTracer; tr != nil {
 				tr.Instant(trk, "iommu", "admit", obs.U64("seq", r.Seq))
 			}
 		}
-		if ix.PendingLen() >= 64 {
-			p := ix.Pick()
+		if sched.PendingLen() >= 64 {
+			p := sched.Pick()
 			if hooked {
 				if tr := benchTracer; tr != nil {
 					tr.Instant(trk, "iommu", "dispatch", obs.U64("seq", p.Seq))
